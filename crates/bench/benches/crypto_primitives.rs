@@ -25,12 +25,26 @@ fn bench(c: &mut Criterion) {
         });
     }
 
-    let gcm = apna_crypto::AesGcm128::new(&[7u8; 16]);
-    let pt = vec![0xCD; 512];
-    g.throughput(Throughput::Bytes(512));
-    g.bench_function("gcm_seal_512B", |b| {
-        b.iter(|| black_box(gcm.seal(&[1; 12], b"", black_box(&pt))))
-    });
+    // Seal and open at the harness's packet sizes (64 B / 1400 B trips) plus
+    // the historical 512 B point, on the auto-selected backends and on the
+    // pinned software pair (bitsliced AES + portable GHASH).
+    let gcms = [
+        ("", apna_crypto::AesGcm128::new(&[7u8; 16])),
+        ("_soft", apna_crypto::AesGcm128::new_software(&[7u8; 16])),
+    ];
+    for (suffix, gcm) in &gcms {
+        for size in [64usize, 512, 1400] {
+            let pt = vec![0xCD; size];
+            let sealed = gcm.seal(&[1; 12], b"apna-gw", &pt);
+            g.throughput(Throughput::Bytes(size as u64));
+            g.bench_function(format!("gcm_seal_{size}B{suffix}"), |b| {
+                b.iter(|| black_box(gcm.seal(&[1; 12], b"apna-gw", black_box(&pt))))
+            });
+            g.bench_function(format!("gcm_open_{size}B{suffix}"), |b| {
+                b.iter(|| black_box(gcm.open(&[1; 12], b"apna-gw", black_box(&sealed)).is_ok()))
+            });
+        }
+    }
 
     let kb = vec![0u8; 1024];
     g.throughput(Throughput::Bytes(1024));

@@ -26,6 +26,7 @@ use apna_crypto::gcm::AesGcm128;
 use apna_crypto::hkdf;
 use apna_crypto::x25519::{PublicKey, SharedSecret, StaticSecret};
 use rand::{CryptoRng, RngCore};
+use std::sync::Arc;
 
 /// The complete key bundle of one AS.
 pub struct AsKeys {
@@ -111,9 +112,21 @@ impl core::fmt::Debug for AsKeys {
 pub struct HostAsKey {
     enc: [u8; 16],
     auth: [u8; 16],
+    /// The AEAD over `enc`, expanded once when the key is derived or
+    /// restored (key schedule, GHASH subkey and its power table) and shared
+    /// by every clone. Derived state: never serialized, never printed.
+    aead: Arc<AesGcm128>,
 }
 
 impl HostAsKey {
+    fn from_halves(enc: [u8; 16], auth: [u8; 16]) -> HostAsKey {
+        HostAsKey {
+            aead: Arc::new(AesGcm128::new(&enc)),
+            enc,
+            auth,
+        }
+    }
+
     /// Derives both halves from the bootstrap DH shared secret. Returns
     /// `None` for a non-contributory exchange (low-order peer point).
     #[must_use]
@@ -121,17 +134,25 @@ impl HostAsKey {
         if !shared.is_contributory() {
             return None;
         }
-        Some(HostAsKey {
-            enc: hkdf::derive_key(b"apna-kha", shared.as_bytes(), b"enc"),
-            auth: hkdf::derive_key(b"apna-kha", shared.as_bytes(), b"auth"),
-        })
+        Some(HostAsKey::from_halves(
+            hkdf::derive_key(b"apna-kha", shared.as_bytes(), b"enc"),
+            hkdf::derive_key(b"apna-kha", shared.as_bytes(), b"auth"),
+        ))
     }
 
     /// AEAD for EphID request/reply messages (`E_kHA(...)` in Fig. 3; we
-    /// use AES-GCM as the CCA-secure scheme the paper calls for).
+    /// use AES-GCM as the CCA-secure scheme the paper calls for). Borrowed
+    /// from the key: no key schedule runs per request.
+    #[must_use]
+    pub fn aead(&self) -> &AesGcm128 {
+        &self.aead
+    }
+
+    /// An owned copy of [`HostAsKey::aead`], for callers that keep the
+    /// AEAD apart from the key.
     #[must_use]
     pub fn request_aead(&self) -> AesGcm128 {
-        AesGcm128::new(&self.enc)
+        AesGcm128::clone(&self.aead)
     }
 
     /// CMAC instance for per-packet authentication (`k_HA^auth`).
@@ -164,7 +185,7 @@ impl HostAsKey {
         let mut auth = [0u8; 16];
         enc.copy_from_slice(&bytes[..16]);
         auth.copy_from_slice(&bytes[16..]);
-        HostAsKey { enc, auth }
+        HostAsKey::from_halves(enc, auth)
     }
 }
 
@@ -281,10 +302,22 @@ mod tests {
             as_side.packet_cmac().mac(probe)
         );
         // Same AEAD key ⇔ successful open.
-        let sealed = host_side.request_aead().seal(&[0u8; 12], b"", b"req");
+        let sealed = host_side.aead().seal(&[0u8; 12], b"", b"req");
+        assert_eq!(
+            as_side.aead().open(&[0u8; 12], b"", &sealed).unwrap(),
+            b"req"
+        );
+        // The owned copy and a restored key open the same bytes.
         assert_eq!(
             as_side
                 .request_aead()
+                .open(&[0u8; 12], b"", &sealed)
+                .unwrap(),
+            b"req"
+        );
+        assert_eq!(
+            HostAsKey::from_bytes(&as_side.to_bytes())
+                .aead()
                 .open(&[0u8; 12], b"", &sealed)
                 .unwrap(),
             b"req"

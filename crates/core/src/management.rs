@@ -257,7 +257,7 @@ impl ManagementService {
             .take_issuance_token(plain.hid, now)
             .map_err(|retry_after_secs| MsDrop::RateLimited { retry_after_secs })?;
         // Check 3: the message decrypts under k_HA.
-        let aead = kha.request_aead();
+        let aead = kha.aead();
         let body_bytes = aead
             .open(&req.nonce, req.ctrl_ephid.as_bytes(), &req.sealed)
             .map_err(|_| MsDrop::Undecryptable)?;
@@ -353,7 +353,7 @@ pub mod client {
             class,
         };
         let sealed = kha
-            .request_aead()
+            .aead()
             .seal(&nonce, ctrl_ephid.as_bytes(), &body.serialize());
         EphIdRequest {
             ctrl_ephid,
@@ -374,7 +374,7 @@ pub mod client {
         now: Timestamp,
     ) -> Result<EphIdCert, Error> {
         let bytes = kha
-            .request_aead()
+            .aead()
             .open(&reply.nonce, ctrl_ephid.as_bytes(), &reply.sealed)?;
         let cert = EphIdCert::parse(&bytes)?;
         cert.verify(as_vk, now)?;

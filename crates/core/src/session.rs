@@ -22,7 +22,7 @@ use crate::keys::EphIdKeyPair;
 use crate::replay::ReplayWindow;
 use crate::time::Timestamp;
 use crate::Error;
-use apna_crypto::gcm::AesGcm128;
+use apna_crypto::gcm::{AesGcm128, TAG_LEN};
 use apna_crypto::hkdf;
 use apna_crypto::x25519::PublicKey;
 use apna_wire::EphIdBytes;
@@ -65,6 +65,13 @@ pub fn verify_peer_cert(
         .ok_or(Error::BadCertificate("unknown issuing AS"))?;
     cert.verify(&vk, now)
 }
+
+/// Length of the sequence number that prefixes every sealed payload.
+const SEQ_LEN: usize = 8;
+
+/// Bytes [`SecureChannel::seal`] adds to a plaintext: sequence number and
+/// AEAD tag.
+pub const SEAL_OVERHEAD: usize = SEQ_LEN + TAG_LEN;
 
 /// An established end-to-end encrypted channel (`k_EaEb` + AEAD state).
 pub struct SecureChannel {
@@ -123,28 +130,61 @@ impl SecureChannel {
 
     /// Seals a payload: `seq (8) ‖ AES-GCM(nonce(dir, seq), aad, plaintext)`.
     pub fn seal(&mut self, aad: &[u8], plaintext: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        self.seal_into(aad, &[plaintext], &mut out);
+        out
+    }
+
+    /// [`SecureChannel::seal`] without the intermediate buffers: appends
+    /// the sealed form of `parts[0] ‖ parts[1] ‖ …` to `out` and encrypts it
+    /// where it lands. A caller holding a header and a payload apart seals
+    /// them straight into the frame it is building, so the payload is
+    /// copied once on its way out.
+    pub fn seal_into(&mut self, aad: &[u8], parts: &[&[u8]], out: &mut Vec<u8>) {
         let seq = self.send_seq;
         self.send_seq += 1;
         let nonce = Self::nonce(self.role.dir_byte(), seq);
-        let mut out = Vec::with_capacity(8 + plaintext.len() + 16);
+        let plaintext_len: usize = parts.iter().map(|p| p.len()).sum();
+        out.reserve(SEAL_OVERHEAD + plaintext_len);
         out.extend_from_slice(&seq.to_be_bytes());
-        out.extend_from_slice(&self.aead.seal(&nonce, aad, plaintext));
-        out
+        let start = out.len();
+        for part in parts {
+            out.extend_from_slice(part);
+        }
+        // In bounds: `start` was `out.len()` before the parts went in.
+        let tag = self.aead.seal_in_place(&nonce, aad, &mut out[start..]);
+        out.extend_from_slice(&tag);
     }
 
     /// Opens a sealed payload from the peer, enforcing the replay window
     /// *after* authentication succeeds.
     pub fn open(&mut self, aad: &[u8], wire: &[u8]) -> Result<Vec<u8>, Error> {
+        let mut buf = wire.to_vec();
+        let len = self.open_in_place(aad, &mut buf)?.len();
+        buf.copy_within(SEQ_LEN..SEQ_LEN + len, 0);
+        buf.truncate(len);
+        Ok(buf)
+    }
+
+    /// [`SecureChannel::open`] decrypting inside `wire` itself; returns the
+    /// plaintext as a sub-slice of it. On an authentication failure the
+    /// ciphertext region of `wire` is zeroed.
+    pub fn open_in_place<'w>(&mut self, aad: &[u8], wire: &'w mut [u8]) -> Result<&'w [u8], Error> {
         let [s0, s1, s2, s3, s4, s5, s6, s7, sealed @ ..] = wire else {
             return Err(Error::Session("sealed payload too short"));
         };
         let seq = u64::from_be_bytes([*s0, *s1, *s2, *s3, *s4, *s5, *s6, *s7]);
         let nonce = Self::nonce(self.role.peer().dir_byte(), seq);
-        let plaintext = self.aead.open(&nonce, aad, sealed)?;
+        let ct_len = sealed
+            .len()
+            .checked_sub(TAG_LEN)
+            .ok_or(apna_crypto::CryptoError::InvalidLength)?;
+        let (ct, tag) = sealed.split_at_mut(ct_len);
+        self.aead.open_in_place(&nonce, aad, ct, tag)?;
         if !self.recv_window.check_and_update(seq) {
             return Err(Error::Replay);
         }
-        Ok(plaintext)
+        Ok(ct)
     }
 
     /// Channel key fingerprint (for tests asserting both sides agree and
@@ -451,6 +491,63 @@ mod tests {
         let last = c.len() - 1;
         c[last] ^= 1;
         assert!(matches!(chb.open(b"", &c), Err(Error::Crypto(_))));
+    }
+
+    #[test]
+    fn in_place_forms_match_the_allocating_ones() {
+        let w = world();
+        let (ka, ca) = issue(&w.a, 1, CertKind::Data);
+        let (kb, cb) = issue(&w.b, 2, CertKind::Data);
+        let establish = || {
+            (
+                SecureChannel::establish(&ka, ca.ephid, &cb.dh_public(), cb.ephid, Role::Initiator)
+                    .unwrap(),
+                SecureChannel::establish(&kb, cb.ephid, &ca.dh_public(), ca.ephid, Role::Responder)
+                    .unwrap(),
+            )
+        };
+        let (mut a1, mut b1) = establish();
+        let (mut a2, mut b2) = establish();
+        for len in [0usize, 1, 64, 1400] {
+            let msg = vec![len as u8; len];
+            let sealed = a1.seal(b"aad", &msg);
+            assert_eq!(sealed.len(), msg.len() + SEAL_OVERHEAD);
+            // seal_into appends after whatever the frame already holds.
+            let mut frame = vec![0x03];
+            // ... from however many pieces the plaintext comes in.
+            let (head, tail) = msg.split_at(len / 3);
+            a2.seal_into(b"aad", &[head, tail], &mut frame);
+            assert_eq!(frame[0], 0x03);
+            assert_eq!(frame[1..], sealed[..]);
+            assert_eq!(b1.open(b"aad", &sealed).unwrap(), msg);
+            assert_eq!(b2.open_in_place(b"aad", &mut frame[1..]).unwrap(), msg);
+        }
+        // Same replay and authentication verdicts, and no plaintext left
+        // behind by a rejected frame.
+        let sealed = a1.seal(b"aad", b"secret payload");
+        let mut replayed = sealed.clone();
+        assert_eq!(
+            b1.open_in_place(b"aad", &mut replayed).unwrap(),
+            b"secret payload"
+        );
+        let mut again = sealed.clone();
+        assert_eq!(b1.open_in_place(b"aad", &mut again), Err(Error::Replay));
+        let mut forged = a2.seal(b"aad", b"secret payload");
+        let last = forged.len() - 1;
+        forged[last] ^= 1;
+        assert!(matches!(
+            b2.open_in_place(b"aad", &mut forged),
+            Err(Error::Crypto(_))
+        ));
+        assert!(forged[SEQ_LEN..last + 1 - TAG_LEN].iter().all(|&b| b == 0));
+        assert_eq!(
+            b2.open_in_place(b"aad", &mut [0u8; 7]),
+            Err(Error::Session("sealed payload too short"))
+        );
+        assert!(matches!(
+            b2.open_in_place(b"aad", &mut [0u8; SEQ_LEN + TAG_LEN - 1]),
+            Err(Error::Crypto(_))
+        ));
     }
 
     #[test]

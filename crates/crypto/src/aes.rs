@@ -23,7 +23,8 @@
 //!
 //! Forcing the software path (benchmarks, CI, non-x86 parity testing):
 //! set `APNA_SOFT_AES=1` in the environment before constructing ciphers,
-//! or construct via [`Aes128::new_software`].
+//! or construct via [`Aes128::new_software`]. The same switch selects
+//! GCM's GHASH kernel (see [`crate::gcm::ghash_backend`]).
 
 use crate::aes_soft::SoftKeys;
 
@@ -87,14 +88,15 @@ pub fn active_backend() -> &'static str {
     "soft-bitsliced"
 }
 
-// Both variants are long-lived (one per expanded cipher); boxing the
-// larger one would put a pointer chase on every block operation.
-#[allow(clippy::large_enum_variant)]
 #[derive(Clone)]
 enum Backend128 {
     #[cfg(target_arch = "x86_64")]
     Ni(crate::aes_ni::NiKeys128),
-    Soft(SoftKeys),
+    /// Boxed: the bitsliced schedule is 960 bytes against AES-NI's 176, and
+    /// every per-flow and per-host cipher would carry the difference unused
+    /// on a machine that runs the hardware backend. The pointer chase is
+    /// per call, against ~80 ns per bitsliced block.
+    Soft(Box<SoftKeys>),
 }
 
 /// AES with a 128-bit key (10 rounds) — the data-plane cipher (EphID
@@ -120,7 +122,7 @@ impl Aes128 {
             }
         }
         Aes128 {
-            backend: Backend128::Soft(SoftKeys::expand(key)),
+            backend: Backend128::Soft(Box::new(SoftKeys::expand(key))),
         }
     }
 
@@ -130,7 +132,7 @@ impl Aes128 {
     #[must_use]
     pub fn new_software(key: &[u8; 16]) -> Self {
         Aes128 {
-            backend: Backend128::Soft(SoftKeys::expand(key)),
+            backend: Backend128::Soft(Box::new(SoftKeys::expand(key))),
         }
     }
 

@@ -24,11 +24,13 @@ use core::arch::x86_64::{
 /// without spilling the 16 xmm registers.
 pub(crate) const NI_LANES: usize = 8;
 
-/// Expanded AES-128 round keys for both directions.
+/// Expanded AES-128 encryption round keys. Every mode in this crate (CTR,
+/// CBC-MAC, CMAC, GCM) only ever encrypts, so the decryption schedule is
+/// not stored — one lives in every per-flow and per-host cipher otherwise —
+/// but derived inside [`NiKeys128::decrypt_lanes`] (nine `aesimc`).
 #[derive(Clone, Copy)]
 pub(crate) struct NiKeys128 {
     enc: [__m128i; 11],
-    dec: [__m128i; 11],
 }
 
 /// Whether this CPU can run the AES-NI backend.
@@ -72,14 +74,7 @@ unsafe fn expand128(key: &[u8; 16]) -> NiKeys128 {
     round!(enc, 8, 0x80);
     round!(enc, 9, 0x1b);
     round!(enc, 10, 0x36);
-    // Decryption schedule: reverse order, inner keys through InvMixColumns.
-    let mut dec = enc;
-    dec[0] = enc[10];
-    dec[10] = enc[0];
-    for i in 1..10 {
-        dec[i] = _mm_aesimc_si128(enc[10 - i]);
-    }
-    NiKeys128 { enc, dec }
+    NiKeys128 { enc }
 }
 
 impl NiKeys128 {
@@ -101,7 +96,7 @@ impl NiKeys128 {
     /// Decrypts up to [`NI_LANES`] blocks in place.
     pub(crate) fn decrypt_lanes(&self, blocks: &mut [[u8; 16]]) {
         // SAFETY: as for `encrypt_lanes`.
-        unsafe { decrypt_lanes_impl(&self.dec, blocks) }
+        unsafe { decrypt_lanes_impl(&self.enc, blocks) }
     }
 }
 
@@ -130,8 +125,15 @@ unsafe fn encrypt_lanes_impl(rk: &[__m128i; 11], blocks: &mut [[u8; 16]]) {
 // SAFETY: same contract as `encrypt_lanes_impl` — feature-checked
 // callers, unaligned 16-byte accesses within each owned block.
 #[target_feature(enable = "aes")]
-unsafe fn decrypt_lanes_impl(rk: &[__m128i; 11], blocks: &mut [[u8; 16]]) {
+unsafe fn decrypt_lanes_impl(enc: &[__m128i; 11], blocks: &mut [[u8; 16]]) {
     debug_assert!(blocks.len() <= NI_LANES);
+    // Decryption schedule: reverse order, inner keys through InvMixColumns.
+    let mut rk = *enc;
+    rk[0] = enc[10];
+    rk[10] = enc[0];
+    for i in 1..10 {
+        rk[i] = _mm_aesimc_si128(enc[10 - i]);
+    }
     let n = blocks.len();
     let mut b = [rk[0]; NI_LANES];
     for i in 0..n {

@@ -19,7 +19,9 @@
 //! * [`cbcmac`] — fixed-input-length CBC-MAC, used for the 4-byte EphID tag
 //!   (secure only for fixed-length inputs; the API enforces one block).
 //! * [`cmac`] — AES-CMAC (RFC 4493) for variable-length per-packet MACs.
-//! * [`gcm`] — AES-GCM (SP 800-38D), the CCA-secure payload scheme.
+//! * [`gcm`] — AES-GCM (SP 800-38D), the CCA-secure payload scheme: one
+//!   pass, in place, GHASH on `pclmulqdq` where detected and on a portable
+//!   constant-time carry-less multiply everywhere else.
 //! * [`sha2`] — SHA-256 and SHA-512 (FIPS 180-4).
 //! * [`hmac`] / [`hkdf`] — RFC 2104 / RFC 5869 key derivation.
 //! * `x25519` (module) — RFC 7748 Diffie-Hellman over Curve25519.
@@ -35,8 +37,9 @@
 //! multiplication uses masked constant-time selects but no further
 //! side-channel hardening. Do not reuse outside simulation.
 //!
-//! `unsafe` is denied crate-wide and allowed in exactly one module: the
-//! AES-NI intrinsics behind runtime feature detection.
+//! `unsafe` is denied crate-wide and allowed in exactly two modules, both
+//! `core::arch` intrinsics behind runtime feature detection: the AES-NI
+//! cipher backend and the `pclmulqdq` GHASH kernel.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
@@ -51,6 +54,9 @@ pub mod ct;
 pub mod ctr;
 pub mod ed25519;
 pub mod gcm;
+mod ghash;
+#[cfg(target_arch = "x86_64")]
+mod ghash_clmul;
 pub mod hex;
 pub mod hkdf;
 pub mod hmac;

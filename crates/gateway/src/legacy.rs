@@ -11,6 +11,8 @@ use apna_wire::WireError;
 
 /// IP protocol number used for the legacy datagrams (UDP).
 pub const PROTO_UDP: u8 = 17;
+/// Bytes in front of a legacy datagram's payload: IPv4 header + ports.
+pub const LEGACY_HEADER_LEN: usize = IPV4_HEADER_LEN + 4;
 
 /// The classic 5-tuple identifying a legacy flow.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -96,19 +98,31 @@ impl LegacyPacket {
         }
     }
 
-    /// Serializes to IPv4 + ports + payload.
+    /// What [`LegacyPacket::serialize`] puts in front of the payload: the
+    /// IPv4 header and the two ports. The gateway seals `header ‖ payload`
+    /// into its frame from the two pieces, without joining them first.
     #[must_use]
-    pub fn serialize(&self) -> Vec<u8> {
+    pub fn header_bytes(&self) -> [u8; LEGACY_HEADER_LEN] {
         let ip = Ipv4Header::new(
             self.tuple.src,
             self.tuple.dst,
             self.tuple.proto,
             4 + self.payload.len(),
         );
-        let mut out = Vec::with_capacity(IPV4_HEADER_LEN + 4 + self.payload.len());
-        out.extend_from_slice(&ip.serialize());
-        out.extend_from_slice(&self.tuple.src_port.to_be_bytes());
-        out.extend_from_slice(&self.tuple.dst_port.to_be_bytes());
+        let mut out = [0u8; LEGACY_HEADER_LEN];
+        let (ip_part, ports) = out.split_at_mut(IPV4_HEADER_LEN);
+        ip_part.copy_from_slice(&ip.serialize());
+        let (src_port, dst_port) = ports.split_at_mut(2);
+        src_port.copy_from_slice(&self.tuple.src_port.to_be_bytes());
+        dst_port.copy_from_slice(&self.tuple.dst_port.to_be_bytes());
+        out
+    }
+
+    /// Serializes to IPv4 + ports + payload.
+    #[must_use]
+    pub fn serialize(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(LEGACY_HEADER_LEN + self.payload.len());
+        out.extend_from_slice(&self.header_bytes());
         out.extend_from_slice(&self.payload);
         out
     }

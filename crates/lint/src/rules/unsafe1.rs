@@ -1,8 +1,9 @@
 //! UNSAFE-1: `unsafe` hygiene.
 //!
-//! The workspace denies `unsafe_code` globally; the only module allowed
-//! to re-enable it is the AES-NI backend, where every `unsafe` is a
-//! feature-gated intrinsic call. This rule enforces both halves
+//! The workspace denies `unsafe_code` globally; the only modules allowed
+//! to re-enable it are the two `core::arch` backends of `apna-crypto` —
+//! the AES-NI cipher and the `pclmulqdq` GHASH kernel — where every
+//! `unsafe` is a feature-gated intrinsic call. This rule enforces both halves
 //! mechanically: `unsafe` may appear only in allowlisted files, and every
 //! `unsafe` fn/block/impl/trait must be immediately preceded by a
 //! `// SAFETY:` comment (blank lines, doc comments, and attributes may
@@ -21,7 +22,10 @@ pub struct Unsafe1 {
 impl Default for Unsafe1 {
     fn default() -> Unsafe1 {
         Unsafe1 {
-            allowlist: vec!["crates/crypto/src/aes_ni.rs".to_string()],
+            allowlist: vec![
+                "crates/crypto/src/aes_ni.rs".to_string(),
+                "crates/crypto/src/ghash_clmul.rs".to_string(),
+            ],
         }
     }
 }
@@ -125,9 +129,14 @@ mod tests {
                    #[target_feature(enable = \"aes\")]\n\
                    unsafe fn go() {}\n\
                    unsafe fn bare() {}\n";
-        let out = run("crates/crypto/src/aes_ni.rs", src);
-        assert_eq!(out.len(), 1, "{out:?}");
-        assert_eq!(out[0].line, 4);
+        for allowlisted in [
+            "crates/crypto/src/aes_ni.rs",
+            "crates/crypto/src/ghash_clmul.rs",
+        ] {
+            let out = run(allowlisted, src);
+            assert_eq!(out.len(), 1, "{out:?}");
+            assert_eq!(out[0].line, 4);
+        }
     }
 
     #[test]

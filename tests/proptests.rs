@@ -440,22 +440,24 @@ proptest! {
         }
     }
 
-    /// ∀ (aad, plaintext): GCM with the batched ctr32 keystream
-    /// round-trips and matches across backends (AES-NI vs bitsliced
-    /// software produce the same sealed bytes).
+    /// ∀ (aad, plaintext) up to past an MTU: one-pass GCM round-trips
+    /// and matches across backends (AES-NI + pclmulqdq vs bitsliced AES +
+    /// portable GHASH produce the same sealed bytes, and each opens the
+    /// other's).
     #[test]
     fn gcm_backends_agree_and_roundtrip(
         key in any::<[u8; 16]>(),
         nonce in any::<[u8; 12]>(),
-        aad in proptest::collection::vec(any::<u8>(), 0..24),
-        pt in proptest::collection::vec(any::<u8>(), 0..300),
+        aad in proptest::collection::vec(any::<u8>(), 0..80),
+        pt in proptest::collection::vec(any::<u8>(), 0..2100),
     ) {
         let auto = AesGcm128::new(&key);
         let sealed = auto.seal(&nonce, &aad, &pt);
         prop_assert_eq!(auto.open(&nonce, &aad, &sealed).unwrap(), pt.clone());
         // Software-backend AEAD must produce byte-identical ciphertext.
         let soft = AesGcm128::new_software(&key);
-        prop_assert_eq!(soft.seal(&nonce, &aad, &pt), sealed);
+        prop_assert_eq!(soft.seal(&nonce, &aad, &pt), sealed.clone());
+        prop_assert_eq!(soft.open(&nonce, &aad, &sealed).unwrap(), pt);
     }
 
     /// ∀ bursts of EphIDs (valid and corrupted): the two-sweep batched
