@@ -1,15 +1,16 @@
-//! Regenerates every table and figure of the APNA evaluation (§V) plus the
-//! quantitative claims of §VII-C and §VIII, printing paper-reported vs.
-//! measured values. See DESIGN.md (experiment index) and EXPERIMENTS.md.
+//! Regenerates the tables and figures of the APNA evaluation (§V) plus the
+//! quantitative claims of §VII-C and §VIII that EXPERIMENTS.md sets against
+//! a paper-reported number, printing paper-reported vs. measured values.
 //!
-//! Usage: `paper_tables [e1|e2|e3|e4|e5|e6|e7|e8|e9|contention|all] [--quick]`
+//! Usage: `paper_tables [e1|e2|e3|e4|e5|e6|e8|e9|all]... [--quick]`
 //!
 //! `--quick` shrinks workloads (CI-friendly); the default sizes match the
-//! paper where feasible (E1 runs the full 500,000-request batch).
+//! paper where feasible (E1 runs the full 500,000-request batch). Every
+//! other measurement lives in the `benchmark/` harness.
 
 use apna_bench::{
-    granularity_comparison, measure_contention, measure_ephid_generation, measure_pipeline,
-    reproduce_fig8, BenchWorld, HW_PER_PACKET_SECS,
+    granularity_comparison, measure_ephid_generation, reproduce_fig8, BenchWorld,
+    HW_PER_PACKET_SECS,
 };
 use apna_core::granularity::Granularity;
 use apna_core::revocation::RevocationList;
@@ -20,14 +21,33 @@ use apna_trace::{SyntheticTrace, TraceConfig};
 use apna_wire::{ApnaHeader, EphIdBytes, HostAddr};
 use std::time::Instant;
 
+const TAGS: [&str; 9] = ["e1", "e2", "e3", "e4", "e5", "e6", "e8", "e9", "all"];
+
+/// Splits the arguments into the experiment tags to run (none = all) and
+/// the `--quick` flag; an argument that is neither is an error naming it.
+fn parse_args(args: &[String]) -> Result<(Vec<&str>, bool), String> {
+    let mut tags = Vec::new();
+    let mut quick = false;
+    for arg in args {
+        match arg.as_str() {
+            "--quick" => quick = true,
+            tag if TAGS.contains(&tag) => tags.push(tag),
+            other => return Err(format!("unknown experiment {other:?}")),
+        }
+    }
+    Ok((tags, quick))
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let which: Vec<&str> = args
-        .iter()
-        .filter(|a| *a != "--quick")
-        .map(String::as_str)
-        .collect();
+    let (which, quick) = match parse_args(&args) {
+        Ok(parsed) => parsed,
+        Err(e) => {
+            eprintln!("paper_tables: {e}");
+            eprintln!("usage: paper_tables [{}]... [--quick]", TAGS.join("|"));
+            std::process::exit(2);
+        }
+    };
     let all = which.is_empty() || which.contains(&"all");
     let run = |tag: &str| all || which.contains(&tag);
 
@@ -49,72 +69,11 @@ fn main() {
     if run("e6") {
         e6_header_overhead();
     }
-    if run("e7") {
-        e7_pipeline_breakdown();
-    }
     if run("e8") {
         e8_revocation_scaling(quick);
     }
     if run("e9") {
         e9_granularity(quick);
-    }
-    if run("contention") {
-        contention_scaling(quick);
-    }
-}
-
-/// Multi-threaded egress contention over the shared sharded state (the
-/// per-core DPDK model of §V-B3). Prints the scaling curve recorded in
-/// `BENCH_border_contention.json`; set `CONTENTION_JSON=<path>` to
-/// (re)write that baseline, annotated with the crypto backend and the
-/// machine's parallelism so a curve recorded on a 1-vCPU box is
-/// distinguishable from a multi-core one.
-fn contention_scaling(quick: bool) {
-    println!("Contention — BorderRouter clones over shared sharded state");
-    println!("-----------------------------------------------------------");
-    let batches = if quick { 20 } else { 200 };
-    println!("threads | pkts      | ns/pkt (eff) | aggregate Mpps");
-    let mut points = Vec::new();
-    for threads in [1usize, 2, 4, 8] {
-        let p = measure_contention(threads, 512, 64, batches);
-        println!(
-            "{:7} | {:9} | {:12.1} | {:.3}",
-            p.threads, p.total_packets, p.per_packet_ns, p.mpps
-        );
-        points.push(p);
-    }
-    let backend = apna_bench::crypto_backend();
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    println!(
-        "(512 B packets, batch 64, one host per thread over the shared sharded state; \
-         crypto backend {backend}, {cores} hardware thread(s))\n"
-    );
-    if let Ok(path) = std::env::var("CONTENTION_JSON") {
-        let mut out = String::from("[\n");
-        for p in &points {
-            out.push_str(&format!(
-                "  {{\"group\": \"border_contention\", \"name\": \"egress_{}thread{}_512B_batch64\", \
-                 \"threads\": {}, \"total_packets\": {}, \"per_packet_ns_effective\": {:.1}, \
-                 \"aggregate_mpps\": {:.3}}},\n",
-                p.threads,
-                if p.threads == 1 { "" } else { "s" },
-                p.threads,
-                p.total_packets,
-                p.per_packet_ns,
-                p.mpps
-            ));
-        }
-        out.push_str(&format!(
-            "  {{\"group\": \"meta\", \"name\": \"environment\", \"crypto_backend\": \"{backend}\", \
-             \"hardware_threads\": {cores}, \"note\": \"CONTENTION_JSON=<path> cargo run --release \
-             -p apna-bench --bin paper_tables contention; 512 B packets, batch 64, one host \
-             (distinct source EphID + nonce stream) per thread, BorderRouter clones sharing the \
-             16-way-sharded replay filter and revocation list; on a 1-vCPU container aggregate \
-             throughput is flat by construction — the curve exists to detect lock-contention \
-             regressions and the CI multi-core leg re-records it as an artifact\"}}\n]\n"
-        ));
-        std::fs::write(&path, out).expect("write CONTENTION_JSON");
-        println!("contention baseline written to {path}\n");
     }
 }
 
@@ -149,7 +108,7 @@ fn e2_e3_fig8() {
     // substrate), then the constant-time bitsliced software fallback.
     let auto = reproduce_fig8();
     print_fig8_table(&auto);
-    if apna_bench::crypto_backend() != "soft-bitsliced" {
+    if auto.backend != "soft-bitsliced" {
         std::env::set_var("APNA_SOFT_AES", "1");
         let soft = reproduce_fig8();
         std::env::remove_var("APNA_SOFT_AES");
@@ -292,27 +251,6 @@ fn e6_header_overhead() {
     );
 }
 
-fn e7_pipeline_breakdown() {
-    println!("E7 — border-router pipeline breakdown (§V-B2)");
-    println!("----------------------------------------------");
-    println!("paper: extra work = 1 decryption + 2 table lookups + 1 MAC verification");
-    println!("size B  | parse | EphID-open | revoked? | host_info | MAC-verify | total ns/pkt");
-    for size in [128, 1518] {
-        let b = measure_pipeline(size);
-        println!(
-            "{:7} | {:5.0} | {:10.0} | {:8.0} | {:9.0} | {:10.0} | {:8.0}",
-            b.packet_size,
-            b.parse_ns,
-            b.ephid_open_ns,
-            b.revocation_ns,
-            b.hostdb_ns,
-            b.mac_verify_ns,
-            b.total_ns
-        );
-    }
-    println!("(MAC-verify scales with packet size: CMAC covers the payload)\n");
-}
-
 fn e8_revocation_scaling(quick: bool) {
     println!("E8 — revocation-list scaling (§VIII-G2 ablation)");
     println!("-------------------------------------------------");
@@ -360,4 +298,35 @@ fn e9_granularity(quick: bool) {
         println!("{name:15} | {allocs:16} | {linkable}");
     }
     println!("({flows} flows, 10 packets each, 7 applications)\n");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(ToString::to_string).collect()
+    }
+
+    #[test]
+    fn known_tags_and_quick_parse() {
+        assert_eq!(parse_args(&args(&[])), Ok((vec![], false)));
+        assert_eq!(
+            parse_args(&args(&["e2", "--quick", "e9"])),
+            Ok((vec!["e2", "e9"], true))
+        );
+        for tag in TAGS {
+            assert_eq!(parse_args(&args(&[tag])), Ok((vec![tag], false)));
+        }
+    }
+
+    #[test]
+    fn unknown_tags_are_errors_not_silent_no_ops() {
+        // `e7` and `contention` were experiments once; like a typo they
+        // must not print a header, run nothing and exit 0.
+        for bad in ["e7", "contention", "e10", "--full", ""] {
+            let err = parse_args(&args(&["e1", bad])).unwrap_err();
+            assert!(err.contains(bad), "{err}");
+        }
+    }
 }

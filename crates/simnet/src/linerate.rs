@@ -104,10 +104,9 @@ impl LineRateModel {
 }
 
 /// A measured per-packet cost curve over packet sizes, labeled with the
-/// crypto backend that produced it — the record `apna-bench` keeps for
-/// each substrate (AES-NI, bitsliced software, and the table-AES numbers
-/// of the committed pre-batching baseline) so E2/E3 tables can diff
-/// before/after against the paper's 120 ns budget.
+/// crypto backend that produced it — what `paper_tables e2` measures once
+/// per substrate (AES-NI, bitsliced software) so the E2/E3 tables can set
+/// each against the other and against the paper's 120 ns budget.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PerPacketCurve {
     /// Backend name: `"aes-ni"`, `"soft-bitsliced"`, or a baseline label.

@@ -49,14 +49,16 @@
 //! socket and exits 0). The final stats JSON is always printed to stdout
 //! on exit, polled or not.
 
-use apna::daemon::{build_as, json_object, json_string, load_config, parse_wire_ipv4, DaemonClock};
+use apna::daemon::{
+    arm_control_plane, build_as, ctrl_log_json, json_object, json_string, load_config,
+    loop_settings, parse_wire_ipv4, run_main, snapshot_tick, DaemonClock,
+};
 use apna_core::asnode::AsNode;
 use apna_core::border::{BorderRouter, Direction, DropCounters, Verdict};
 use apna_core::control::{ControlCounters, ControlMsg, ControlPlane};
-use apna_core::ctrl_log::{self, ReplaySummary};
+use apna_core::ctrl_log::ReplaySummary;
 use apna_core::hid::Hid;
 use apna_core::host::Host;
-use apna_core::hostinfo::IssuancePolicy;
 use apna_core::time::Timestamp;
 use apna_io::stats::{StatsCommand, StatsServer};
 use apna_io::udp::{UdpBackend, UdpFraming};
@@ -64,7 +66,6 @@ use apna_io::PacketIo;
 use apna_wire::{Aid, ApnaHeader, EncapTunnel, HostAddr, PacketBatch, ReplayMode};
 use std::collections::{BTreeMap, HashMap};
 use std::net::SocketAddr;
-use std::path::Path;
 use std::time::Duration;
 
 const ALLOWED_KEYS: [&str; 18] = [
@@ -89,27 +90,7 @@ const ALLOWED_KEYS: [&str; 18] = [
 ];
 
 fn main() {
-    std::process::exit(run());
-}
-
-fn run() -> i32 {
-    let mut args = std::env::args().skip(1);
-    let (Some(config_path), None) = (args.next(), args.next()) else {
-        eprintln!("usage: apna-border <config-file>");
-        return 2;
-    };
-    match run_daemon(&config_path) {
-        Ok(final_stats) => {
-            // The shutdown-path contract: final counters always reach
-            // stdout, even when the stats endpoint was never polled.
-            println!("{final_stats}");
-            0
-        }
-        Err(e) => {
-            eprintln!("apna-border: {e}");
-            1
-        }
-    }
+    std::process::exit(run_main("apna-border", run_daemon));
 }
 
 /// Everything the run loop accumulates beyond the backend's own counters.
@@ -182,45 +163,9 @@ fn run_daemon(config_path: &str) -> Result<String, String> {
             "{config_path}: shards must be 1..=64, got {shards}"
         ));
     }
-    let burst = cfg.parsed::<usize>("burst").map_err(cerr)?.unwrap_or(32);
-    if !(1..=1024).contains(&burst) {
-        return Err(format!(
-            "{config_path}: burst must be 1..=1024, got {burst}"
-        ));
-    }
-    let run_secs = cfg.parsed::<u32>("run_secs").map_err(cerr)?;
-
-    let snapshot_every = cfg
-        .parsed::<u64>("snapshot_every")
-        .map_err(cerr)?
-        .unwrap_or(1024);
-    // Replay AFTER the deterministic mirror bootstraps: `restore`
-    // overwrites the freshly attached entries with their logged state
-    // (same seeds ⇒ same keys, plus preserved strikes/revocation flags),
-    // and the IV watermark advances past everything the pre-crash
-    // process may have issued.
-    let replay = match cfg.get("ctrl_log").map_err(cerr)? {
-        Some(path) => Some(
-            ctrl_log::attach_file(&setup.node.infra, Path::new(path))
-                .map_err(|e| format!("{config_path}: ctrl_log: {e}"))?,
-        ),
-        None => None,
-    };
-    let issuance_burst = cfg.parsed::<u32>("issuance_burst").map_err(cerr)?;
-    let issuance_per_sec = cfg.parsed::<u32>("issuance_per_sec").map_err(cerr)?;
-    match (issuance_burst, issuance_per_sec) {
-        (Some(burst), Some(per_sec)) => setup
-            .node
-            .infra
-            .host_db
-            .set_issuance_policy(Some(IssuancePolicy { burst, per_sec })),
-        (None, None) => {}
-        _ => {
-            return Err(format!(
-                "{config_path}: issuance_burst and issuance_per_sec must be set together"
-            ))
-        }
-    }
+    let (burst, run_secs, snapshot_every) = loop_settings(&cfg, config_path)?;
+    // After the deterministic mirror bootstraps above, as it requires.
+    let replay = arm_control_plane(&cfg, config_path, &setup.node.infra)?;
 
     let tunnel = EncapTunnel::new(tunnel_local, tunnel_peer);
     let io = UdpBackend::bind(listen, gateway, UdpFraming::Tunnel(tunnel))
@@ -263,16 +208,13 @@ impl BorderDaemon {
                     break;
                 }
             }
-            // Same thread as every control mutation (module contract of
-            // `ctrl_log`); a no-op while the log is inactive or young.
-            match ctrl_log::maybe_snapshot(&self.node.infra, self.snapshot_every) {
-                Ok(true) => self.totals.snapshots += 1,
-                Ok(false) => {}
-                Err(e) => {
-                    self.totals.snapshot_errors += 1;
-                    eprintln!("apna-border: snapshot: {e}");
-                }
-            }
+            snapshot_tick(
+                "apna-border",
+                &self.node.infra,
+                self.snapshot_every,
+                &mut self.totals.snapshots,
+                &mut self.totals.snapshot_errors,
+            );
             let ready = self
                 .io
                 .poll(Duration::from_millis(20))
@@ -463,24 +405,8 @@ impl BorderDaemon {
         for (kind, count) in self.control.iter_nonzero() {
             control_fields.push((kind.name(), count.to_string()));
         }
-        let log_stats = self.node.infra.ctrl_log.stats().unwrap_or_default();
-        let replay = self.replay.unwrap_or_default();
-        let log_fields: Vec<(&str, String)> = vec![
-            ("active", self.node.infra.ctrl_log.is_active().to_string()),
-            ("appended_records", log_stats.appended_records.to_string()),
-            (
-                "appends_since_snapshot",
-                log_stats.appends_since_snapshot.to_string(),
-            ),
-            ("io_errors", log_stats.io_errors.to_string()),
-            ("snapshots", self.totals.snapshots.to_string()),
-            ("snapshot_errors", self.totals.snapshot_errors.to_string()),
-            ("replayed_records", replay.records.to_string()),
-            ("replayed_hosts", replay.hosts.to_string()),
-            ("replayed_revocations", replay.revocations.to_string()),
-            ("replayed_watermark", replay.watermark.to_string()),
-            ("torn_tail", replay.torn_tail.to_string()),
-        ];
+        let (infra, t) = (&self.node.infra, &self.totals);
+        let ctrl_log = ctrl_log_json(infra, self.replay, t.snapshots, t.snapshot_errors);
         json_object(&[
             ("daemon", json_string("apna-border")),
             ("aid", self.aid.0.to_string()),
@@ -499,7 +425,7 @@ impl BorderDaemon {
             ("io", self.io.counters().to_json()),
             ("drops", json_object(&drop_fields)),
             ("control", json_object(&control_fields)),
-            ("ctrl_log", json_object(&log_fields)),
+            ("ctrl_log", ctrl_log),
         ])
     }
 }
@@ -523,12 +449,13 @@ fn process_direction(
         return process_chunk(router, direction, frames, mode, now);
     }
     let chunk_size = frames.len().div_ceil(shards);
-    let chunks: Vec<Vec<Vec<u8>>> = frames.chunks(chunk_size).map(<[_]>::to_vec).collect();
+    let mut rest = frames.into_iter();
     let mut paired = Vec::new();
     let mut drops = DropCounters::default();
     std::thread::scope(|scope| {
-        let handles: Vec<_> = chunks
-            .into_iter()
+        let handles: Vec<_> = (0..shards)
+            .map(|_| rest.by_ref().take(chunk_size).collect::<Vec<_>>())
+            .filter(|chunk| !chunk.is_empty())
             .map(|chunk| {
                 let worker = router.clone();
                 scope.spawn(move || process_chunk(&worker, direction, chunk, mode, now))
@@ -551,12 +478,35 @@ fn process_chunk(
     mode: ReplayMode,
     now: Timestamp,
 ) -> (Vec<(Vec<u8>, Verdict)>, DropCounters) {
-    let kept = frames.clone();
     let mut batch = PacketBatch::from_packets(mode, frames);
     let verdicts = router.process_batch(direction, &mut batch, now);
     let drops = *verdicts.counters();
-    (
-        kept.into_iter().zip(verdicts.into_verdicts()).collect(),
-        drops,
-    )
+    let frames = batch.into_packets().into_iter();
+    (frames.zip(verdicts.into_verdicts()).collect(), drops)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Sharding must be invisible in the result: the same `(frame, verdict)`
+    /// pairs in input order and the same drop tallies from 1 and 4 shards,
+    /// over a burst mixing forwardable, malformed, forged and tampered frames.
+    #[test]
+    fn one_and_four_shards_agree_on_a_mixed_burst() {
+        let mut world = apna_bench::BenchWorld::new();
+        let mut frames = world.burst_of(13, 128);
+        frames[2] = vec![0xEE; 7]; // shorter than a header
+        frames[5][100] ^= 1; // payload bit: packet MAC fails
+        frames[9][10] ^= 1; // source EphID bit: EphID MAC fails
+        frames.insert(7, Vec::new());
+        let (br, mode, now) = (&world.node.br, ReplayMode::Disabled, Timestamp(1));
+        let run = |n| process_direction(br, Direction::Egress, frames.clone(), mode, now, n);
+        let (one, four) = (run(1), run(4));
+        assert_eq!(one, four);
+        assert!(one.0.iter().map(|(frame, _)| frame).eq(&frames));
+        let forwarded = |(_, v): &&(Vec<u8>, Verdict)| matches!(v, Verdict::ForwardInter { .. });
+        assert_eq!(one.0.iter().filter(forwarded).count(), 10);
+        assert_eq!(one.1.total(), 4);
+    }
 }

@@ -33,25 +33,23 @@
 //! | `issuance_burst`      | per-host issuance token-bucket depth          |
 //! | `issuance_per_sec`    | per-host issuance refill rate (tokens/sec)    |
 //!
-//! When `ctrl_log` is set, the daemon replays `<path>` plus the
-//! `<path>.snap` snapshot on start (restoring registrations, the IV
-//! high-water mark, and revocations from before a crash) and then logs
-//! every subsequent issuance and revocation. **The log and snapshot
-//! store raw host–AS key material (`k_HA`)** — protect both files
-//! exactly like the seed file. `issuance_burst`/`issuance_per_sec` must
-//! be set together; they arm the per-host admission-control bucket that
-//! answers overload with retryable `EphIdBusy` instead of queueing.
+//! `burst`, `run_secs`, `ctrl_log`, `snapshot_every` and the `issuance_*`
+//! pair go through the code `apna-border` parses them with (`apna::daemon`)
+//! and behave as documented there. **The log and its snapshot store raw
+//! host–AS key material (`k_HA`)** — protect both files like the seed file.
 //!
 //! Legacy datagrams are `apna_gateway::LegacyPacket` serializations; the
 //! loopback demo plays both the legacy client and the legacy server.
 //! Stats protocol matches `apna-border` (`stats\n` / `shutdown\n`); the
 //! final JSON always reaches stdout on exit.
 
-use apna::daemon::{build_as, json_object, json_string, load_config, parse_wire_ipv4, DaemonClock};
+use apna::daemon::{
+    arm_control_plane, build_as, ctrl_log_json, json_object, json_string, load_config,
+    loop_settings, parse_wire_ipv4, run_main, snapshot_tick, DaemonClock,
+};
 use apna_core::asnode::AsNode;
-use apna_core::ctrl_log::{self, ReplaySummary};
+use apna_core::ctrl_log::ReplaySummary;
 use apna_core::deploy::CountingControlPlane;
-use apna_core::hostinfo::IssuancePolicy;
 use apna_gateway::daemon::{PairConfig, TranslatorPair};
 use apna_gateway::legacy::LegacyPacket;
 use apna_gateway::translator::GatewayOutput;
@@ -86,26 +84,7 @@ const ALLOWED_KEYS: [&str; 20] = [
 ];
 
 fn main() {
-    std::process::exit(run());
-}
-
-fn run() -> i32 {
-    let mut args = std::env::args().skip(1);
-    let (Some(config_path), None) = (args.next(), args.next()) else {
-        eprintln!("usage: apna-gateway <config-file>");
-        return 2;
-    };
-    match run_daemon(&config_path) {
-        Ok(final_stats) => {
-            // Final counters always reach stdout, polled or not.
-            println!("{final_stats}");
-            0
-        }
-        Err(e) => {
-            eprintln!("apna-gateway: {e}");
-            1
-        }
-    }
+    std::process::exit(run_main("apna-gateway", run_daemon));
 }
 
 #[derive(Default)]
@@ -166,17 +145,7 @@ fn run_daemon(config_path: &str) -> Result<String, String> {
     let legacy_listen: SocketAddr = cfg.require_parsed("legacy_listen").map_err(cerr)?;
     let legacy_deliver: SocketAddr = cfg.require_parsed("legacy_deliver").map_err(cerr)?;
     let stats_listen: SocketAddr = cfg.require_parsed("stats_listen").map_err(cerr)?;
-    let burst = cfg.parsed::<usize>("burst").map_err(cerr)?.unwrap_or(32);
-    if !(1..=1024).contains(&burst) {
-        return Err(format!(
-            "{config_path}: burst must be 1..=1024, got {burst}"
-        ));
-    }
-    let run_secs = cfg.parsed::<u32>("run_secs").map_err(cerr)?;
-    let snapshot_every = cfg
-        .parsed::<u64>("snapshot_every")
-        .map_err(cerr)?
-        .unwrap_or(1024);
+    let (burst, run_secs, snapshot_every) = loop_settings(&cfg, config_path)?;
 
     let node = setup.node;
     let cp = CountingControlPlane::new(&node);
@@ -189,33 +158,8 @@ fn run_daemon(config_path: &str) -> Result<String, String> {
     )
     .map_err(|e| format!("translator bootstrap failed: {e:?}"))?;
 
-    // Replay AFTER the deterministic bootstrap: `restore` overwrites the
-    // freshly bootstrapped entries with pre-crash state (same seeds ⇒
-    // same keys, plus preserved strikes/revocations) and the IV
-    // watermark advances past everything issued before the crash.
-    let replay = match cfg.get("ctrl_log").map_err(cerr)? {
-        Some(path) => Some(
-            ctrl_log::attach_file(&node.infra, std::path::Path::new(path))
-                .map_err(|e| format!("{config_path}: ctrl_log: {e}"))?,
-        ),
-        None => None,
-    };
-    // Armed after bootstrap so the translator pair's own registrations
-    // are never rate-limited; only steady-state issuance pays tokens.
-    let issuance_burst = cfg.parsed::<u32>("issuance_burst").map_err(cerr)?;
-    let issuance_per_sec = cfg.parsed::<u32>("issuance_per_sec").map_err(cerr)?;
-    match (issuance_burst, issuance_per_sec) {
-        (Some(burst), Some(per_sec)) => node
-            .infra
-            .host_db
-            .set_issuance_policy(Some(IssuancePolicy { burst, per_sec })),
-        (None, None) => {}
-        _ => {
-            return Err(format!(
-                "{config_path}: issuance_burst and issuance_per_sec must be set together"
-            ))
-        }
-    }
+    // After the deterministic bootstrap above, as it requires.
+    let replay = arm_control_plane(&cfg, config_path, &node.infra)?;
 
     // The translator emits and consumes full GRE frames itself, so the
     // APNA-side backend runs Raw framing (the border daemon's side owns
@@ -272,16 +216,13 @@ impl GatewayDaemon<'_> {
                 Ok(n) => self.totals.rotated += n as u64,
                 Err(_) => self.totals.refresh_errors += 1,
             }
-            // Snapshot on the same thread that mutates control state, so
-            // the compacted image is always a consistent cut.
-            match ctrl_log::maybe_snapshot(&self.node.infra, self.snapshot_every) {
-                Ok(true) => self.totals.snapshots += 1,
-                Ok(false) => {}
-                Err(e) => {
-                    self.totals.snapshot_errors += 1;
-                    eprintln!("apna-gateway: snapshot: {e}");
-                }
-            }
+            snapshot_tick(
+                "apna-gateway",
+                &self.node.infra,
+                self.snapshot_every,
+                &mut self.totals.snapshots,
+                &mut self.totals.snapshot_errors,
+            );
         }
         // Shutdown drain: service both sockets until quiet so in-flight
         // packets are translated and counted before the final dump.
@@ -351,24 +292,8 @@ impl GatewayDaemon<'_> {
         for (kind, count) in control.iter_nonzero() {
             control_fields.push((kind.name(), count.to_string()));
         }
-        let log_stats = self.node.infra.ctrl_log.stats().unwrap_or_default();
-        let replay = self.replay.unwrap_or_default();
-        let log_fields: Vec<(&str, String)> = vec![
-            ("active", self.node.infra.ctrl_log.is_active().to_string()),
-            ("appended_records", log_stats.appended_records.to_string()),
-            (
-                "appends_since_snapshot",
-                log_stats.appends_since_snapshot.to_string(),
-            ),
-            ("io_errors", log_stats.io_errors.to_string()),
-            ("snapshots", self.totals.snapshots.to_string()),
-            ("snapshot_errors", self.totals.snapshot_errors.to_string()),
-            ("replayed_records", replay.records.to_string()),
-            ("replayed_hosts", replay.hosts.to_string()),
-            ("replayed_revocations", replay.revocations.to_string()),
-            ("replayed_watermark", replay.watermark.to_string()),
-            ("torn_tail", replay.torn_tail.to_string()),
-        ];
+        let (infra, t) = (&self.node.infra, &self.totals);
+        let ctrl_log = ctrl_log_json(infra, self.replay, t.snapshots, t.snapshot_errors);
         json_object(&[
             ("daemon", json_string("apna-gateway")),
             ("aid", self.aid.0.to_string()),
@@ -387,7 +312,7 @@ impl GatewayDaemon<'_> {
             ("io_apna", self.apna_io.counters().to_json()),
             ("io_legacy", self.legacy_io.counters().to_json()),
             ("control", json_object(&control_fields)),
-            ("ctrl_log", json_object(&log_fields)),
+            ("ctrl_log", ctrl_log),
         ])
     }
 }

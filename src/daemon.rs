@@ -1,16 +1,20 @@
-//! Shared plumbing for the `apna-border` and `apna-gateway` daemons:
-//! config loading, deterministic AS construction from seed files, the
-//! daemon clock, and hand-rolled JSON assembly for the stats endpoints.
+//! Shared plumbing for the `apna-border` and `apna-gateway` daemons: the
+//! exit-code shell, config loading, deterministic AS construction from
+//! seed files, the run-loop and control-plane settings both daemons
+//! accept, the daemon clock, and hand-rolled JSON assembly for the stats
+//! endpoints.
 //!
 //! Everything here returns `Result<_, String>` with operator-readable
 //! messages — the binaries print the error and exit non-zero; nothing on
 //! a daemon path may panic (enforced by `apna-lint` PANIC-1, whose scope
 //! includes this module and both binaries).
 
-use apna_core::asnode::AsNode;
+use apna_core::asnode::{AsInfra, AsNode};
+use apna_core::ctrl_log::{self, ReplaySummary};
 use apna_core::deploy;
 use apna_core::directory::AsDirectory;
 use apna_core::granularity::Granularity;
+use apna_core::hostinfo::IssuancePolicy;
 use apna_core::time::Timestamp;
 use apna_io::config::Config;
 use apna_wire::{Aid, ReplayMode};
@@ -42,6 +46,27 @@ impl DaemonClock {
     #[must_use]
     pub fn uptime_secs(&self) -> u32 {
         u32::try_from(self.start.elapsed().as_secs()).unwrap_or(u32::MAX)
+    }
+}
+
+/// The process shell both daemons share: exactly one argument, the config
+/// path (else usage, exit 2), then `run_daemon`. Its final stats JSON always
+/// reaches stdout, polled or not (exit 0); its error goes to stderr (exit 1).
+pub fn run_main(name: &str, run_daemon: fn(&str) -> Result<String, String>) -> i32 {
+    let mut args = std::env::args().skip(1);
+    let (Some(config_path), None) = (args.next(), args.next()) else {
+        eprintln!("usage: {name} <config-file>");
+        return 2;
+    };
+    match run_daemon(&config_path) {
+        Ok(final_stats) => {
+            println!("{final_stats}");
+            0
+        }
+        Err(e) => {
+            eprintln!("{name}: {e}");
+            1
+        }
     }
 }
 
@@ -111,6 +136,103 @@ pub fn build_as(cfg: &Config, config_path: &str) -> Result<AsSetup, String> {
         granularity,
         host_seeds,
     })
+}
+
+/// The run-loop keys both daemons accept, in order: `burst` (max frames
+/// per burst, 1..=1024, default 32), `run_secs` (optional auto-shutdown
+/// deadline), `snapshot_every` (log appends between snapshots, default 1024).
+pub fn loop_settings(cfg: &Config, config_path: &str) -> Result<(usize, Option<u32>, u64), String> {
+    let err = |e: apna_io::config::ConfigError| format!("{config_path}: {e}");
+    let burst = cfg.parsed::<usize>("burst").map_err(err)?.unwrap_or(32);
+    if !(1..=1024).contains(&burst) {
+        return Err(format!(
+            "{config_path}: burst must be 1..=1024, got {burst}"
+        ));
+    }
+    let run_secs = cfg.parsed::<u32>("run_secs").map_err(err)?;
+    let snapshot_every = cfg.parsed::<u64>("snapshot_every").map_err(err)?;
+    Ok((burst, run_secs, snapshot_every.unwrap_or(1024)))
+}
+
+/// Attaches the durable control log (`ctrl_log`, optional) and arms the
+/// per-host issuance bucket (`issuance_burst` + `issuance_per_sec`, set
+/// together or not at all). Call AFTER the deterministic bootstraps:
+/// replay's `restore` overwrites the fresh entries with their logged state
+/// (same seeds ⇒ same keys, plus preserved strikes/revocations) and moves
+/// the IV watermark past everything the pre-crash process may have issued,
+/// and the bootstrap registrations are never rate-limited.
+pub fn arm_control_plane(
+    cfg: &Config,
+    config_path: &str,
+    infra: &AsInfra,
+) -> Result<Option<ReplaySummary>, String> {
+    let err = |e: apna_io::config::ConfigError| format!("{config_path}: {e}");
+    let replay = match cfg.get("ctrl_log").map_err(err)? {
+        Some(path) => Some(
+            ctrl_log::attach_file(infra, std::path::Path::new(path))
+                .map_err(|e| format!("{config_path}: ctrl_log: {e}"))?,
+        ),
+        None => None,
+    };
+    let issuance_burst = cfg.parsed::<u32>("issuance_burst").map_err(err)?;
+    let issuance_per_sec = cfg.parsed::<u32>("issuance_per_sec").map_err(err)?;
+    match (issuance_burst, issuance_per_sec) {
+        (Some(burst), Some(per_sec)) => infra
+            .host_db
+            .set_issuance_policy(Some(IssuancePolicy { burst, per_sec })),
+        (None, None) => {}
+        _ => {
+            return Err(format!(
+                "{config_path}: issuance_burst and issuance_per_sec must be set together"
+            ))
+        }
+    }
+    Ok(replay)
+}
+
+/// One run-loop tick of the snapshot cadence, tallied into the daemon's
+/// `snapshots` / `snapshot_errors` counters; a no-op while the log is
+/// inactive or young. Call on the thread that mutates control state
+/// (`ctrl_log`'s module contract: the image is then a consistent cut).
+pub fn snapshot_tick(name: &str, infra: &AsInfra, every: u64, taken: &mut u64, failed: &mut u64) {
+    match ctrl_log::maybe_snapshot(infra, every) {
+        Ok(true) => *taken += 1,
+        Ok(false) => {}
+        Err(e) => {
+            *failed += 1;
+            eprintln!("{name}: snapshot: {e}");
+        }
+    }
+}
+
+/// The `ctrl_log` object of both daemons' stats JSON. Keys and their order
+/// are a contract: the loopback demo, `tests/ctrl_restart.rs` and the
+/// benchmark harness read them.
+#[must_use]
+pub fn ctrl_log_json(
+    infra: &AsInfra,
+    replay: Option<ReplaySummary>,
+    snapshots: u64,
+    snapshot_errors: u64,
+) -> String {
+    let log = infra.ctrl_log.stats().unwrap_or_default();
+    let replay = replay.unwrap_or_default();
+    json_object(&[
+        ("active", infra.ctrl_log.is_active().to_string()),
+        ("appended_records", log.appended_records.to_string()),
+        (
+            "appends_since_snapshot",
+            log.appends_since_snapshot.to_string(),
+        ),
+        ("io_errors", log.io_errors.to_string()),
+        ("snapshots", snapshots.to_string()),
+        ("snapshot_errors", snapshot_errors.to_string()),
+        ("replayed_records", replay.records.to_string()),
+        ("replayed_hosts", replay.hosts.to_string()),
+        ("replayed_revocations", replay.revocations.to_string()),
+        ("replayed_watermark", replay.watermark.to_string()),
+        ("torn_tail", replay.torn_tail.to_string()),
+    ])
 }
 
 /// Parses a dotted-quad into the wire crate's IPv4 address type.

@@ -271,6 +271,28 @@ fn replay_at_every_byte_cut_never_panics() {
     }
 }
 
+/// The `ctrl_log` object both daemons put in their stats JSON: exactly
+/// these 11 keys in this order. The daemon test below, the loopback demo
+/// and the benchmark harness all read them by name.
+#[test]
+fn daemon_stats_ctrl_log_object_keeps_its_keys_and_order() {
+    let node = fresh_node(&AsDirectory::new());
+    let replay = ctrl_log::ReplaySummary {
+        hosts: 2,
+        revocations: 1,
+        watermark: 9,
+        records: 4,
+        torn_tail: true,
+    };
+    assert_eq!(
+        apna::daemon::ctrl_log_json(&node.infra, Some(replay), 5, 6),
+        "{\"active\": false, \"appended_records\": 0, \"appends_since_snapshot\": 0, \
+         \"io_errors\": 0, \"snapshots\": 5, \"snapshot_errors\": 6, \"replayed_records\": 4, \
+         \"replayed_hosts\": 2, \"replayed_revocations\": 1, \"replayed_watermark\": 9, \
+         \"torn_tail\": true}"
+    );
+}
+
 // ---------------------------------------------------------------------
 // Process-level kill-and-restart of the real apna-border daemon.
 // ---------------------------------------------------------------------

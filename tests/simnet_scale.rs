@@ -2,9 +2,9 @@
 //! ordering properties of the event queue and byte-identical reruns of
 //! the [`apna_simnet::ScaleScenario`] driver.
 //!
-//! The big rerun (10k hosts) is `#[ignore]`d so plain debug `cargo test`
-//! stays fast; the release CI `simnet-scale` job runs it with
-//! `--ignored`.
+//! The big reruns (10k and 100k hosts) are `#[ignore]`d so plain debug
+//! `cargo test` stays fast; the release CI `simnet-scale` job runs them
+//! with `--ignored`.
 
 use apna_simnet::{
     Arrivals, EventQueue, FlowSizes, ScaleConfig, ScaleScenario, SimTime, Simulator, TopologySpec,
@@ -112,4 +112,50 @@ fn scale_10k_hosts_rerun_is_byte_identical() {
     assert_eq!(a.flows_injected, 20_000);
     let b = run();
     assert_eq!(a.digest(), b.digest(), "10k-host rerun diverged");
+}
+
+/// The headline scale point — 100k hosts / 1M flows over the 52-AS ISP
+/// hierarchy (4 cores / 8 regionals / 40 stubs, 2 500 hosts per stub),
+/// seed 42 — run twice: lossless, fully injected, every invariant
+/// exactly clean, and byte-identical across the reruns. Release CI only
+/// (`--ignored`): minutes per run.
+#[test]
+#[ignore = "release-CI scale check (minutes per run in release)"]
+fn scale_100k_hosts_1m_flows_rerun_is_byte_identical() {
+    let run = || {
+        ScaleScenario::build(ScaleConfig {
+            seed: 42,
+            topology: TopologySpec::Isp {
+                cores: 4,
+                regionals: 8,
+                stubs: 40,
+            },
+            hosts_per_as: 2_500,
+            flows: 1_000_000,
+            // Long enough that DATA_SHORT EphIDs cross their refresh
+            // margin mid-run.
+            duration_secs: 1_020,
+            tick_secs: 60,
+            refresh_margin_secs: 120,
+            sizes: FlowSizes::Pareto {
+                alpha: 1.2,
+                min_pkts: 1,
+                max_pkts: 16,
+            },
+            shutoffs: 2,
+            ..ScaleConfig::default()
+        })
+        .unwrap()
+        .run()
+    };
+    let a = run();
+    assert!(a.invariants_hold(), "{a:#?}");
+    assert_eq!(a.hosts, 100_000);
+    assert_eq!(a.flows_injected, 1_000_000);
+    assert_eq!(a.incomplete_flows, 0, "{a:#?}");
+    assert_eq!(a.corrupt_discards, 0);
+    assert_eq!(a.issuance_failures, 0);
+    assert_eq!(a.strikes_acked, 2);
+    let b = run();
+    assert_eq!(a.digest(), b.digest(), "100k-host rerun diverged");
 }
