@@ -10,6 +10,7 @@
 
 use crate::border::BorderRouter;
 use crate::cert::{CertKind, EphIdCert};
+use crate::control::{ControlKind, ControlMsg, ControlPlane};
 use crate::ctrl_log::LogHandle;
 use crate::directory::{AsDirectory, AsPublicKeys};
 use crate::ephid::{self, EphIdPlain, IvAllocator};
@@ -22,7 +23,7 @@ use crate::revocation::RevocationList;
 use crate::shutoff::{AccountabilityAgent, RevocationPolicy};
 use crate::time::Timestamp;
 use apna_crypto::x25519::SharedSecret;
-use apna_wire::{Aid, EphIdBytes};
+use apna_wire::{Aid, ApnaHeader, EphIdBytes, HostAddr, ReplayMode};
 use rand::{CryptoRng, RngCore};
 use std::sync::Arc;
 
@@ -248,14 +249,92 @@ impl AsNode {
     }
 
     /// Looks up the service endpoint (AA / MS / DNS) registered under
-    /// `hid`, if any — how the simulator decides that a delivered packet
-    /// is control traffic for one of this AS's services.
+    /// `hid`, if any — how the border daemon and the simulator decide that
+    /// a delivered packet is control traffic for one of this AS's services.
     #[must_use]
     pub fn service_by_hid(&self, hid: Hid) -> Option<&ServiceEndpoint> {
         [&self.aa_endpoint, &self.ms_endpoint, &self.dns_endpoint]
             .into_iter()
             .find(|ep| ep.hid == hid)
     }
+
+    /// Serves a burst of packets delivered to the service endpoint `hid`
+    /// (§IV-B, §IV-E): parses each [`ControlMsg`] envelope, dispatches the
+    /// burst through `cp`'s batched path, and builds each reply as an
+    /// accountable packet from the endpoint's EphID, MAC'd under its `k_HA`
+    /// and, under [`ReplayMode::NonceExtension`], stamped with `next_nonce`
+    /// (incremented per reply). Failures are counted, never answered.
+    pub fn serve_control_burst(
+        &self,
+        hid: Hid,
+        packets: &[Vec<u8>],
+        cp: &dyn ControlPlane,
+        mode: ReplayMode,
+        next_nonce: &mut u64,
+        now: Timestamp,
+    ) -> ServedControl {
+        let mut served = ServedControl::default();
+        let Some(endpoint) = self.service_by_hid(hid) else {
+            served.requests = vec![None; packets.len()];
+            served.rejected = packets.len() as u64;
+            return served;
+        };
+        let mut reply_to = Vec::new();
+        let mut bodies: Vec<&[u8]> = Vec::new();
+        for wire in packets {
+            let parsed = ApnaHeader::parse(wire, mode)
+                .ok()
+                .and_then(|(header, body)| {
+                    Some((header.src, body, ControlMsg::parse(body).ok()?.kind()))
+                });
+            let Some((requester, body, kind)) = parsed else {
+                served.rejected += 1;
+                served.requests.push(None);
+                continue;
+            };
+            reply_to.push(requester);
+            bodies.push(body);
+            served.requests.push(Some(kind));
+        }
+        let results = cp.handle_control_batch(&bodies, now);
+        let cmac = endpoint.kha.packet_cmac();
+        for (dst, result) in reply_to.into_iter().zip(results) {
+            let Ok(reply) = result else {
+                served.rejected += 1;
+                continue;
+            };
+            let Some(reply) = reply else { continue };
+            let Ok(msg) = ControlMsg::parse(&reply) else {
+                served.rejected += 1;
+                continue;
+            };
+            let mut reply_header = ApnaHeader::new(HostAddr::new(self.aid(), endpoint.ephid), dst);
+            if mode == ReplayMode::NonceExtension {
+                reply_header = reply_header.with_nonce(*next_nonce);
+                *next_nonce += 1;
+            }
+            let mac: [u8; 8] = cmac.mac_truncated(&reply_header.mac_input(&reply));
+            reply_header.set_mac(mac);
+            let mut wire = reply_header.serialize();
+            wire.extend_from_slice(&reply);
+            served.reply_kinds.push(msg.kind());
+            served.replies.push(wire);
+        }
+        served
+    }
+}
+
+/// What [`AsNode::serve_control_burst`] made of one burst.
+#[derive(Debug, Default)]
+pub struct ServedControl {
+    /// Per input packet: the request kind, or `None` for a bad envelope.
+    pub requests: Vec<Option<ControlKind>>,
+    /// Reply packets, in request order.
+    pub replies: Vec<Vec<u8>>,
+    /// The kind of each reply in `replies`.
+    pub reply_kinds: Vec<ControlKind>,
+    /// Bad envelopes, refused requests and unparseable replies.
+    pub rejected: u64,
 }
 
 #[cfg(test)]
@@ -318,6 +397,79 @@ mod tests {
         assert_eq!(a.infra.aa_ephid, b.infra.aa_ephid);
         let c = AsNode::from_seed(Aid(1), [10; 32], &AsDirectory::new(), Timestamp(0));
         assert_ne!(a.infra.aa_ephid, c.infra.aa_ephid);
+    }
+
+    /// A host's EphID request, as the packet it sends to the MS.
+    fn ms_request(node: &AsNode, mode: ReplayMode) -> (crate::HostAgent, Vec<u8>) {
+        let mut host = crate::HostAgent::attach(
+            node,
+            crate::granularity::Granularity::PerFlow,
+            mode,
+            Timestamp(0),
+            5,
+        )
+        .unwrap();
+        let ms = HostAddr::new(node.aid(), node.ms_endpoint.ephid);
+        let (_, msg) = host.begin_acquire(crate::EphIdUsage::DATA_SHORT);
+        let packet = host.build_control_packet(ms, &msg);
+        (host, packet)
+    }
+
+    #[test]
+    fn served_replies_are_nonce_stamped_accountable_packets() {
+        let (node, _) = node();
+        let mode = ReplayMode::NonceExtension;
+        let (mut host, request) = ms_request(&node, mode);
+        let mut nonce = 7;
+        let hid = node.ms_endpoint.hid;
+        let served =
+            node.serve_control_burst(hid, &[request], &node, mode, &mut nonce, Timestamp(0));
+        assert_eq!(served.requests, vec![Some(ControlKind::EphIdRequest)]);
+        assert_eq!(served.rejected, 0);
+        assert_eq!(nonce, 8);
+        assert_eq!(served.reply_kinds, vec![ControlKind::EphIdReply]);
+        let reply = &served.replies[0];
+        assert!(node
+            .br
+            .process_outgoing(reply, mode, Timestamp(0))
+            .is_forward());
+        let (header, _) = host.receive_packet(reply).unwrap();
+        assert_eq!(header.nonce, Some(7));
+        assert_eq!(header.src.ephid, node.ms_endpoint.ephid);
+    }
+
+    /// Malformed envelopes and replies that do not parse are counted as
+    /// rejected and never answered; no nonce is spent on them.
+    #[test]
+    fn unparseable_envelopes_and_replies_are_rejected() {
+        struct Garbage;
+        impl ControlPlane for Garbage {
+            fn handle_control(
+                &self,
+                _: &ControlMsg,
+                _: Timestamp,
+            ) -> Result<Option<ControlMsg>, crate::Error> {
+                Ok(None)
+            }
+            fn handle_control_batch(
+                &self,
+                frames: &[&[u8]],
+                _: Timestamp,
+            ) -> Vec<Result<Option<Vec<u8>>, crate::Error>> {
+                frames.iter().map(|_| Ok(Some(vec![0xFF; 3]))).collect()
+            }
+        }
+        let (node, _) = node();
+        let mode = ReplayMode::NonceExtension;
+        let (_, request) = ms_request(&node, mode);
+        let mut nonce = 7;
+        let hid = node.ms_endpoint.hid;
+        let packets = [request, vec![0xEE; 5]];
+        let served =
+            node.serve_control_burst(hid, &packets, &Garbage, mode, &mut nonce, Timestamp(0));
+        assert_eq!(served.requests, vec![Some(ControlKind::EphIdRequest), None]);
+        assert!(served.replies.is_empty());
+        assert_eq!((served.rejected, nonce), (2, 7));
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Deployment helpers for the long-lived daemons (`apna-border`,
-//! `apna-gateway`): key-material files, config-value parsing, and a
+//! `apna-gateway`): key-material files, config-value parsing, a
 //! control-plane wrapper that tallies [`ControlCounters`] for the stats
-//! endpoints.
+//! endpoints, and [`BorderCore`], the border daemon's burst logic with no
+//! socket and no clock.
 //!
 //! Both daemons build their [`crate::AsNode`] deterministically from a
 //! 32-byte seed file ([`parse_seed_file`] / [`encode_seed_file`]), so two
@@ -10,12 +11,16 @@
 //! bootstrap protocol on the wire — EphID validation is cryptographic,
 //! not stateful, so that is all the agreement they need.
 
+use crate::asnode::AsNode;
+use crate::border::{BorderRouter, Direction, DropCounters, Verdict};
 use crate::control::{ControlCounters, ControlMsg, ControlPlane};
 use crate::granularity::Granularity;
+use crate::hid::Hid;
 use crate::time::Timestamp;
 use crate::Error;
-use apna_wire::ReplayMode;
+use apna_wire::{PacketBatch, ReplayMode};
 use std::cell::RefCell;
+use std::collections::{BTreeMap, HashMap};
 
 /// Decodes a 64-hex-digit string into a 32-byte seed.
 pub fn parse_seed_hex(s: &str) -> Result<[u8; 32], String> {
@@ -178,6 +183,172 @@ impl ControlPlane for CountingControlPlane<'_> {
         }
         results
     }
+}
+
+/// The border router of a single-AS deployment (Fig. 4, §IV-D3) with the
+/// I/O taken out: no socket, no clock. `apna-border` is the shell that
+/// feeds it bursts. It borrows its node, so one [`AsNode`] can back a core
+/// and a gateway's `TranslatorPair` in a single process.
+pub struct BorderCore<'a> {
+    /// The AS this border serves.
+    pub node: &'a AsNode,
+    /// The router it runs: a clone of `node.br`, filters as configured.
+    pub router: BorderRouter,
+    mode: ReplayMode,
+    shards: usize,
+    first_reply_nonce: u64,
+    reply_nonces: HashMap<Hid, u64>,
+    /// Bursts processed, re-injected reply bursts included.
+    pub bursts: u64,
+    /// Frames that passed egress toward this AS.
+    pub egress_passed: u64,
+    /// Frames that passed egress toward another AS: counted, not sent
+    /// (this deployment has no inter-AS peer).
+    pub forwarded_foreign: u64,
+    /// Egress and ingress drops by reason.
+    pub drops: DropCounters,
+    /// Control requests served and replies sent, per kind.
+    pub control: ControlCounters,
+    /// Control packets refused (see [`crate::asnode::ServedControl`]).
+    pub control_rejected: u64,
+}
+
+impl<'a> BorderCore<'a> {
+    /// A core running `router` over `node`, each direction split across
+    /// `shards` worker threads; every service endpoint numbers its reply
+    /// nonces from `first_reply_nonce`.
+    #[must_use]
+    pub fn new(
+        node: &'a AsNode,
+        router: BorderRouter,
+        mode: ReplayMode,
+        shards: usize,
+        first_reply_nonce: u64,
+    ) -> BorderCore<'a> {
+        BorderCore {
+            node,
+            router,
+            mode,
+            shards,
+            first_reply_nonce,
+            reply_nonces: HashMap::new(),
+            bursts: 0,
+            egress_passed: 0,
+            forwarded_foreign: 0,
+            drops: DropCounters::default(),
+            control: ControlCounters::default(),
+            control_rejected: 0,
+        }
+    }
+
+    /// Runs one burst received at `now`: egress over all of it, survivors
+    /// addressed to this AS through ingress, deliveries to a service
+    /// endpoint served per endpoint in HID order by
+    /// [`AsNode::serve_control_burst`] and the replies run as a burst of
+    /// their own. Returns every other delivery, in sending order.
+    pub fn step(&mut self, now: Timestamp, frames: Vec<Vec<u8>>) -> Vec<Vec<u8>> {
+        let mut out = Vec::new();
+        self.burst(now, frames, &mut out);
+        out
+    }
+
+    fn burst(&mut self, now: Timestamp, frames: Vec<Vec<u8>>, out: &mut Vec<Vec<u8>>) {
+        if frames.is_empty() {
+            return;
+        }
+        self.bursts += 1;
+        let mut local = Vec::new();
+        for (frame, verdict) in self.direction(Direction::Egress, frames, now) {
+            match verdict {
+                Verdict::ForwardInter { dst_aid } if dst_aid == self.node.aid() => {
+                    local.push(frame)
+                }
+                Verdict::ForwardInter { .. } => self.forwarded_foreign += 1,
+                Verdict::DeliverLocal { .. } | Verdict::Drop(_) => {}
+            }
+        }
+        self.egress_passed += local.len() as u64;
+
+        let mut ctrl_groups: BTreeMap<Hid, Vec<Vec<u8>>> = BTreeMap::new();
+        for (frame, verdict) in self.direction(Direction::Ingress, local, now) {
+            match verdict {
+                Verdict::DeliverLocal { hid } if self.node.service_by_hid(hid).is_some() => {
+                    ctrl_groups.entry(hid).or_default().push(frame);
+                }
+                Verdict::DeliverLocal { .. } => out.push(frame),
+                Verdict::ForwardInter { .. } | Verdict::Drop(_) => {}
+            }
+        }
+        for (hid, packets) in ctrl_groups {
+            let nonce = self
+                .reply_nonces
+                .entry(hid)
+                .or_insert(self.first_reply_nonce);
+            let node = self.node;
+            let served = node.serve_control_burst(hid, &packets, node, self.mode, nonce, now);
+            self.control_rejected += served.rejected;
+            for kind in served.requests.into_iter().flatten() {
+                self.control.record(kind);
+            }
+            for kind in served.reply_kinds {
+                self.control.record(kind);
+            }
+            self.burst(now, served.replies, out);
+        }
+    }
+
+    /// `frames` through one direction, split across the shards (each worker
+    /// a router clone over the shared AS state): each frame with its
+    /// verdict, in input order. Drops are tallied.
+    fn direction(
+        &mut self,
+        direction: Direction,
+        frames: Vec<Vec<u8>>,
+        now: Timestamp,
+    ) -> Vec<(Vec<u8>, Verdict)> {
+        let (router, mode, shards) = (&self.router, self.mode, self.shards);
+        if frames.is_empty() {
+            return Vec::new();
+        }
+        if shards <= 1 || frames.len() == 1 {
+            let (paired, drops) = run_chunk(router, direction, frames, mode, now);
+            self.drops.merge(&drops);
+            return paired;
+        }
+        let chunk_size = frames.len().div_ceil(shards);
+        let mut rest = frames.into_iter();
+        let mut paired = Vec::new();
+        let drops = &mut self.drops;
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..shards)
+                .map(|_| rest.by_ref().take(chunk_size).collect::<Vec<_>>())
+                .filter(|chunk| !chunk.is_empty())
+                .map(|chunk| {
+                    let worker = router.clone();
+                    scope.spawn(move || run_chunk(&worker, direction, chunk, mode, now))
+                })
+                .collect();
+            for (p, d) in handles.into_iter().filter_map(|h| h.join().ok()) {
+                paired.extend(p);
+                drops.merge(&d);
+            }
+        });
+        paired
+    }
+}
+
+fn run_chunk(
+    router: &BorderRouter,
+    direction: Direction,
+    frames: Vec<Vec<u8>>,
+    mode: ReplayMode,
+    now: Timestamp,
+) -> (Vec<(Vec<u8>, Verdict)>, DropCounters) {
+    let mut batch = PacketBatch::from_packets(mode, frames);
+    let verdicts = router.process_batch(direction, &mut batch, now);
+    let drops = *verdicts.counters();
+    let frames = batch.into_packets().into_iter();
+    (frames.zip(verdicts.into_verdicts()).collect(), drops)
 }
 
 #[cfg(test)]

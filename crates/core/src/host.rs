@@ -210,7 +210,8 @@ impl Host {
     }
 
     /// The index of an owned EphID, if this host holds `ephid`.
-    pub(crate) fn owned_index_of(&self, ephid: EphIdBytes) -> Option<usize> {
+    #[must_use]
+    pub fn owned_index_of(&self, ephid: EphIdBytes) -> Option<usize> {
         self.owned.iter().position(|o| o.cert.ephid == ephid)
     }
 
@@ -313,7 +314,7 @@ impl Host {
         let (header, payload) = ApnaHeader::parse(wire, self.replay_mode)?;
         let ours = header.dst.aid == self.aid
             && (header.dst.ephid == self.ctrl_ephid
-                || self.owned.iter().any(|o| o.cert.ephid == header.dst.ephid));
+                || self.owned_index_of(header.dst.ephid).is_some());
         if !ours {
             return Err(Error::Session("packet not addressed to this host"));
         }

@@ -29,7 +29,7 @@ use apna_core::Error;
 use apna_crypto::ed25519::SigningKey;
 use apna_dns::DnsServer;
 use apna_wire::ipv4::Ipv4Addr;
-use apna_wire::{gre, ApnaHeader, EphIdBytes, ReplayMode};
+use apna_wire::{gre, ApnaHeader, ReplayMode};
 
 /// Bootstrap parameters for a [`TranslatorPair`], one field per daemon
 /// config key (see the `apna-gateway` binary).
@@ -88,11 +88,6 @@ pub struct TranslatorPair {
     replay_mode: ReplayMode,
     /// Legacy datagrams that failed to route to either gateway.
     pub unroutable: u64,
-}
-
-/// True iff `agent` owns `ephid` (it appears in the host's owned table).
-fn owns(agent: &HostAgent, ephid: &EphIdBytes) -> bool {
-    (0..agent.ephid_count()).any(|i| agent.owned_ephid(i).ephid() == *ephid)
 }
 
 impl TranslatorPair {
@@ -185,9 +180,9 @@ impl TranslatorPair {
     ) -> Result<GatewayOutput, Error> {
         let (_ip, apna) = gre::decapsulate(frame)?;
         let (header, _payload) = ApnaHeader::parse(apna, self.replay_mode)?;
-        if owns(&self.client.host, &header.dst.ephid) {
+        if self.client.host.owned_index_of(header.dst.ephid).is_some() {
             self.client.inbound(frame, cp, now)
-        } else if owns(&self.server.host, &header.dst.ephid) {
+        } else if self.server.host.owned_index_of(header.dst.ephid).is_some() {
             self.server.inbound(frame, cp, now)
         } else {
             Err(Error::Session("destination EphID owned by neither gateway"))
@@ -230,40 +225,9 @@ impl TranslatorPair {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use apna_core::border::{Direction, Verdict};
+    use apna_core::deploy::BorderCore;
     use apna_core::host::Host;
-    use apna_wire::{Aid, PacketBatch};
-
-    /// Runs `frames` (bare APNA) through a border's egress→ingress
-    /// hairpin, returning survivors (the single-AS daemon topology).
-    fn hairpin(
-        node: &AsNode,
-        frames: Vec<Vec<u8>>,
-        mode: ReplayMode,
-        now: Timestamp,
-    ) -> Vec<Vec<u8>> {
-        let kept = frames.clone();
-        let mut batch = PacketBatch::from_packets(mode, frames);
-        let verdicts = node.br.process_batch(Direction::Egress, &mut batch, now);
-        let own = node.aid();
-        let survivors: Vec<Vec<u8>> = verdicts
-            .verdicts()
-            .iter()
-            .zip(&kept)
-            .filter(|(v, _)| matches!(v, Verdict::ForwardInter { dst_aid } if *dst_aid == own))
-            .map(|(_, f)| f.clone())
-            .collect();
-        let kept2 = survivors.clone();
-        let mut batch2 = PacketBatch::from_packets(mode, survivors);
-        let verdicts2 = node.br.process_batch(Direction::Ingress, &mut batch2, now);
-        verdicts2
-            .verdicts()
-            .iter()
-            .zip(kept2)
-            .filter(|(v, _)| matches!(v, Verdict::DeliverLocal { .. }))
-            .map(|(_, f)| f)
-            .collect()
-    }
+    use apna_wire::Aid;
 
     /// GRE-wraps APNA survivors back toward the gateway (what the border
     /// daemon's Tunnel-framing backend does on send).
@@ -284,6 +248,8 @@ mod tests {
         let node = AsNode::from_seed(Aid(5), [5u8; 32], &dir, now);
         let cfg = PairConfig::new(101, 202);
         let mut pair = TranslatorPair::bootstrap(&node, &node, &dir, &cfg, now).unwrap();
+        // The border borrows the same node the pair bootstrapped against.
+        let mut border = BorderCore::new(&node, node.br.clone(), cfg.replay_mode, 1, 0);
 
         let client_ip = Ipv4Addr::new(192, 168, 1, 23);
         let request = LegacyPacket::udp(client_ip, 53123, pair.synth_ip, 7777, b"daemon ping");
@@ -296,7 +262,7 @@ mod tests {
             .iter()
             .map(|f| gre::decapsulate(f).unwrap().1.to_vec())
             .collect();
-        let delivered = hairpin(&node, apna, cfg.replay_mode, now);
+        let delivered = border.step(now, apna);
         assert_eq!(delivered.len(), 1, "border dropped the handshake frame");
 
         // Border → server gateway: the request pops out on the legacy
@@ -317,7 +283,7 @@ mod tests {
             .iter()
             .map(|f| gre::decapsulate(f).unwrap().1.to_vec())
             .collect();
-        let back = hairpin(&node, apna_back, cfg.replay_mode, now);
+        let back = border.step(now, apna_back);
         assert_eq!(back.len(), 1);
         for f in re_encap(&cfg, &back) {
             pair.handle_apna(&f, &node, now).unwrap();
@@ -331,7 +297,7 @@ mod tests {
             .iter()
             .map(|f| gre::decapsulate(f).unwrap().1.to_vec())
             .collect();
-        let resp_delivered = hairpin(&node, resp_apna, cfg.replay_mode, now);
+        let resp_delivered = border.step(now, resp_apna);
         assert_eq!(resp_delivered.len(), 1);
         let mut final_legacy = Vec::new();
         for f in re_encap(&cfg, &resp_delivered) {
@@ -375,7 +341,8 @@ mod tests {
             .iter()
             .map(|f| gre::decapsulate(f).unwrap().1.to_vec())
             .collect();
-        let delivered = hairpin(&node_br, apna, cfg.replay_mode, now);
+        let mut border = BorderCore::new(&node_br, node_br.br.clone(), cfg.replay_mode, 1, 0);
+        let delivered = border.step(now, apna);
         assert_eq!(delivered.len(), 1, "mirrored border rejected the frame");
     }
 

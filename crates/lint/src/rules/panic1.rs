@@ -19,14 +19,17 @@ pub struct Panic1;
 /// Hot-path modules. Entries ending in `/` are directory prefixes (the
 /// whole tree is in scope); others are workspace-relative suffix matches
 /// on a single file.
-const HOT_PATHS: [&str; 8] = [
+const HOT_PATHS: [&str; 10] = [
     "crates/core/src/border.rs",
     // The packet-I/O backends and everything on the daemons' run loops:
-    // all of it touches attacker-controlled bytes at line rate.
+    // all of it touches attacker-controlled bytes at line rate (`deploy.rs`:
+    // `BorderCore`; `asnode.rs`: its service dispatch).
     "crates/io/src/",
     "src/daemon.rs",
     "src/bin/apna-border.rs",
     "src/bin/apna-gateway.rs",
+    "crates/core/src/deploy.rs",
+    "crates/core/src/asnode.rs",
     // The durable control-plane log and the sharded host state sit on the
     // daemons' control path (and the log replays attacker-adjacent bytes
     // from disk on restart): neither may unwind.

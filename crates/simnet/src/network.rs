@@ -862,20 +862,14 @@ impl Network {
                 }
             }
             for (hid, items) in ctrl_groups {
-                let arrival = self.now.add_micros(self.intra_as_latency_us);
-                self.deliver_control_batch(out, collect, aid, hid, items, arrival);
+                self.deliver_control_batch(out, collect, aid, hid, items);
             }
         }
     }
 
-    /// Handles a burst of packets delivered to ONE AS service endpoint:
-    /// parses each [`ControlMsg`] envelope, dispatches the burst through
-    /// the service's **batched** control plane (the DNS zone for the DNS
-    /// endpoint when one is attached, the AS node otherwise — where the
-    /// EphID issuances in the burst run the pipelined
-    /// `handle_request_batch` path), and injects the replies as one fresh
-    /// burst from the service's own EphID. Failed checks follow the
-    /// paper's silent-drop discipline: counted, no response.
+    /// Serves a burst delivered to ONE AS service endpoint through
+    /// [`AsNode::serve_control_burst`] (the DNS endpoint by the attached
+    /// zone, if any), records it, and injects the replies as one burst.
     fn deliver_control_batch(
         &mut self,
         out: &mut Vec<NetworkEvent>,
@@ -883,100 +877,42 @@ impl Network {
         aid: Aid,
         hid: Hid,
         items: Vec<(u64, Vec<u8>)>,
-        at: SimTime,
     ) {
-        // Parse phase: envelope checks, accounting, observer events.
-        // `pending` keeps (packet id, parsed header, wire bytes, payload
-        // offset) per accepted frame.
-        let mut pending: Vec<(u64, ApnaHeader, Vec<u8>, usize)> = Vec::new();
-        for (id, bytes) in items {
-            let Ok((header, payload)) = ApnaHeader::parse(&bytes, self.replay_mode) else {
-                self.stats.control_rejected += 1;
-                continue;
-            };
-            let Ok(msg) = ControlMsg::parse(payload) else {
-                self.stats.control_rejected += 1;
-                continue;
-            };
-            let payload_off = bytes.len() - payload.len();
-            self.stats.control_delivered.record(msg.kind());
+        let at = self.now.add_micros(self.intra_as_latency_us);
+        let (ids, packets): (Vec<u64>, Vec<Vec<u8>>) = items.into_iter().unzip();
+        let node = &self.nodes[&aid];
+        let cp: &dyn ControlPlane = match self.dns_servers.get(&aid) {
+            Some(zone) if hid == node.dns_endpoint.hid => zone,
+            _ => node,
+        };
+        let next_nonce = self.service_nonces.entry((aid, hid)).or_insert(0);
+        let now = self.now.as_protocol_time();
+        let served = node.serve_control_burst(hid, &packets, cp, self.replay_mode, next_nonce, now);
+
+        self.stats.control_rejected += served.rejected;
+        for (id, kind) in ids.into_iter().zip(served.requests) {
+            let Some(kind) = kind else { continue };
+            self.stats.control_delivered.record(kind);
             if self.control_log_enabled {
                 self.control_log.push(ControlDelivered {
                     packet_id: id,
                     aid,
-                    kind: msg.kind(),
+                    kind,
                     at,
                 });
             }
             if collect {
-                out.push(NetworkEvent::ControlDelivered {
-                    id,
-                    aid,
-                    kind: msg.kind(),
-                });
-            }
-            pending.push((id, header, bytes, payload_off));
-        }
-        if pending.is_empty() {
-            return;
-        }
-
-        let now = self.now.as_protocol_time();
-        let (results, src_ephid, kha) = {
-            let node = &self.nodes[&aid];
-            let endpoint = node
-                .service_by_hid(hid)
-                .expect("dispatch gated on service hid");
-            let frames: Vec<&[u8]> = pending
-                .iter()
-                .map(|(_, _, bytes, off)| &bytes[*off..])
-                .collect();
-            // Round-trip through the frame entry point so replies are
-            // produced from parsed-and-reserialized state, like any
-            // networked service would.
-            let results = if endpoint.hid == node.dns_endpoint.hid {
-                match self.dns_servers.get(&aid) {
-                    Some(zone) => zone.handle_control_batch(&frames, now),
-                    None => node.handle_control_batch(&frames, now),
-                }
-            } else {
-                node.handle_control_batch(&frames, now)
-            };
-            (results, endpoint.ephid, endpoint.kha.clone())
-        };
-
-        let mut reply_wires = Vec::new();
-        for ((_, header, _, _), result) in pending.iter().zip(results) {
-            match result {
-                Err(_) => self.stats.control_rejected += 1,
-                Ok(None) => {}
-                Ok(Some(reply_frame)) => {
-                    let reply_kind = ControlMsg::parse(&reply_frame)
-                        .map(|m| m.kind())
-                        .expect("services emit well-formed frames");
-                    self.stats.control_replies.record(reply_kind);
-                    let mut reply_header =
-                        ApnaHeader::new(HostAddr::new(aid, src_ephid), header.src);
-                    if self.replay_mode == ReplayMode::NonceExtension {
-                        let counter = self.service_nonces.entry((aid, hid)).or_insert(0);
-                        reply_header = reply_header.with_nonce(*counter);
-                        *counter += 1;
-                    }
-                    let mac: [u8; 8] = kha
-                        .packet_cmac()
-                        .mac_truncated(&reply_header.mac_input(&reply_frame));
-                    reply_header.set_mac(mac);
-                    let mut wire = reply_header.serialize();
-                    wire.extend_from_slice(&reply_frame);
-                    reply_wires.push(wire);
-                }
+                out.push(NetworkEvent::ControlDelivered { id, aid, kind });
             }
         }
-        if !reply_wires.is_empty() {
+        for kind in served.reply_kinds {
+            self.stats.control_replies.record(kind);
+        }
+        if !served.replies.is_empty() {
             // The replies are ordinary accountable traffic: they re-enter
             // the network at the service's AS as one burst and run the full
             // egress → (links) → ingress pipeline.
-            self.send_batch(aid, reply_wires);
+            self.send_batch(aid, served.replies);
         }
     }
 

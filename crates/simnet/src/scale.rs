@@ -374,8 +374,9 @@ impl ScaleWorld {
         let owned_idx = ApnaHeader::parse(&evidence, self.cfg.replay_mode)
             .ok()
             .and_then(|(eh, _)| {
-                let victim = self.agents[f.dst as usize].as_ref()?;
-                (0..victim.ephid_count()).find(|&i| victim.owned_ephid(i).ephid() == eh.dst.ephid)
+                self.agents[f.dst as usize]
+                    .as_ref()?
+                    .owned_index_of(eh.dst.ephid)
             })
             .unwrap_or(self.recv_idx[f.dst as usize]);
         let victim = self.agents[f.dst as usize]

@@ -453,11 +453,7 @@ impl Scenario {
                     // the evidence's destination.
                     let owned_idx = ApnaHeader::parse(&evidence, self.cfg.replay_mode)
                         .ok()
-                        .and_then(|(eh, _)| {
-                            let victim = &self.agents[flow.dst];
-                            (0..victim.ephid_count())
-                                .find(|&i| victim.owned_ephid(i).ephid() == eh.dst.ephid)
-                        })
+                        .and_then(|(eh, _)| self.agents[flow.dst].owned_index_of(eh.dst.ephid))
                         .unwrap_or(self.recv_idx[flow.dst]);
                     let victim = &mut self.agents[flow.dst];
                     let ack = self.net.agent_shutoff(victim, aa, &evidence, owned_idx)?;

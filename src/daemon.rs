@@ -1,8 +1,8 @@
 //! Shared plumbing for the `apna-border` and `apna-gateway` daemons: the
 //! exit-code shell, config loading, deterministic AS construction from
 //! seed files, the run-loop and control-plane settings both daemons
-//! accept, the daemon clock, and hand-rolled JSON assembly for the stats
-//! endpoints.
+//! accept, the daemon clock and the border's reply-nonce seed, and
+//! hand-rolled JSON assembly for the stats endpoints.
 //!
 //! Everything here returns `Result<_, String>` with operator-readable
 //! messages — the binaries print the error and exit non-zero; nothing on
@@ -11,14 +11,15 @@
 
 use apna_core::asnode::{AsInfra, AsNode};
 use apna_core::ctrl_log::{self, ReplaySummary};
-use apna_core::deploy;
+use apna_core::deploy::{self, BorderCore};
 use apna_core::directory::AsDirectory;
 use apna_core::granularity::Granularity;
 use apna_core::hostinfo::IssuancePolicy;
 use apna_core::time::Timestamp;
 use apna_io::config::Config;
+use apna_io::IoCounters;
 use apna_wire::{Aid, ReplayMode};
-use std::time::Instant;
+use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
 /// Wall-clock → protocol-time mapping: protocol timestamps are seconds
 /// since daemon start (both daemons bootstrap at [`Timestamp::EPOCH`], so
@@ -47,6 +48,18 @@ impl DaemonClock {
     pub fn uptime_secs(&self) -> u32 {
         u32::try_from(self.start.elapsed().as_secs()).unwrap_or(u32::MAX)
     }
+}
+
+/// The first reply nonce of each service endpoint of a starting border:
+/// wall-clock µs since the Unix epoch. Hosts' replay windows (§VIII-D)
+/// outlive a border restart, so its nonces must not restart at 0. This
+/// assumes fewer than 10⁶ replies/s per endpoint, sustained, and no
+/// backward clock step across the restart.
+#[must_use]
+pub fn first_reply_nonce() -> u64 {
+    SystemTime::now()
+        .duration_since(UNIX_EPOCH)
+        .map_or(0, |d| u64::try_from(d.as_micros()).unwrap_or(u64::MAX))
 }
 
 /// The process shell both daemons share: exactly one argument, the config
@@ -232,6 +245,47 @@ pub fn ctrl_log_json(
         ("replayed_revocations", replay.revocations.to_string()),
         ("replayed_watermark", replay.watermark.to_string()),
         ("torn_tail", replay.torn_tail.to_string()),
+    ])
+}
+
+/// The `apna-border` stats JSON; `delivered` is the socket's `tx_frames`
+/// (the border sends nothing else), `ctrl_log` [`ctrl_log_json`]'s object.
+/// Key paths and order are a contract: the loopback demo, the tests and
+/// the benchmark harness read them.
+#[must_use]
+pub fn border_stats_json(
+    core: &BorderCore<'_>,
+    uptime_secs: u32,
+    io: &IoCounters,
+    ctrl_log: String,
+) -> String {
+    let mut drop_fields = vec![("total", core.drops.total().to_string())];
+    for (reason, count) in core.drops.iter_nonzero() {
+        drop_fields.push((reason.name(), count.to_string()));
+    }
+    let mut control_fields = vec![
+        ("total", core.control.total().to_string()),
+        ("rejected", core.control_rejected.to_string()),
+    ];
+    for (kind, count) in core.control.iter_nonzero() {
+        control_fields.push((kind.name(), count.to_string()));
+    }
+    json_object(&[
+        ("daemon", json_string("apna-border")),
+        ("aid", core.node.aid().0.to_string()),
+        ("uptime_secs", uptime_secs.to_string()),
+        ("bursts", core.bursts.to_string()),
+        ("egress_passed", core.egress_passed.to_string()),
+        ("delivered", io.tx_frames.to_string()),
+        ("forwarded_foreign", core.forwarded_foreign.to_string()),
+        (
+            "replay_filter_entries",
+            core.router.replay_filter_entries().to_string(),
+        ),
+        ("io", io.to_json()),
+        ("drops", json_object(&drop_fields)),
+        ("control", json_object(&control_fields)),
+        ("ctrl_log", ctrl_log),
     ])
 }
 

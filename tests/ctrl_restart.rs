@@ -4,16 +4,21 @@
 //! revocation in force, and never reuse an IV (§V-A1 requires a unique
 //! IV per encryption, so the write-ahead watermark must survive).
 //!
-//! Three layers:
+//! Four layers:
 //!   1. library kill/replay through `MemSink` (exact-state assertions),
 //!   2. a crash-consistency sweep/proptest over every log truncation,
-//!   3. a process-level kill-and-restart of the real `apna-border`
+//!   3. an in-process kill-and-restart of the border daemon's core
+//!      (`BorderCore`) over a file log, packets in and out,
+//!   4. a process-level kill-and-restart of the real `apna-border`
 //!      daemon over its `ctrl_log =` file.
 
+use apna::daemon::first_reply_nonce;
 use apna_core::agent::{EphIdUsage, HostAgent};
 use apna_core::border::{DropReason, Verdict};
 use apna_core::cert::CertKind;
+use apna_core::control::ControlMsg;
 use apna_core::ctrl_log::{self, MemSink};
+use apna_core::deploy::BorderCore;
 use apna_core::directory::AsDirectory;
 use apna_core::granularity::Granularity;
 use apna_core::time::{ExpiryClass, Timestamp};
@@ -291,6 +296,116 @@ fn daemon_stats_ctrl_log_object_keeps_its_keys_and_order() {
          \"replayed_hosts\": 2, \"replayed_revocations\": 1, \"replayed_watermark\": 9, \
          \"torn_tail\": true}"
     );
+}
+
+// ---------------------------------------------------------------------
+// In-process kill-and-restart of the border daemon's core over a file log.
+// ---------------------------------------------------------------------
+
+const HOST_SEED: u64 = 1001;
+
+/// A fresh path for a file log in the temp dir (tagged per test).
+fn temp_log(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("apna-core-restart-{}-{tag}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir.join("ctrl.log")
+}
+
+/// What one `apna-border` start does before its first burst: the node from
+/// the AS seed, the mirrored host bootstrap, then the log replayed and
+/// attached.
+fn border_node(log: &std::path::Path, mode: ReplayMode) -> (AsNode, ctrl_log::ReplaySummary) {
+    let node = fresh_node(&AsDirectory::new());
+    apna_core::host::Host::attach(&node, mode, Timestamp(0), HOST_SEED).unwrap();
+    let replayed = ctrl_log::attach_file(&node.infra, log).unwrap();
+    (node, replayed)
+}
+
+/// One EphID issuance from `host` through `core`, as packets: the request
+/// goes in as a burst, the reply comes back out and the host must accept
+/// it. Returns the new EphID's index.
+fn issue_through(
+    core: &mut BorderCore<'_>,
+    host: &mut HostAgent,
+) -> Result<usize, apna_core::Error> {
+    let ms = HostAddr::new(core.node.aid(), host.ms_cert.ephid);
+    let (pending, msg) = host.begin_acquire(EphIdUsage::DATA_LONG);
+    let request = host.build_control_packet(ms, &msg);
+    let out = core.step(Timestamp(0), vec![request]);
+    assert_eq!(out.len(), 1, "one reply frame per request");
+    let (_, payload) = host.receive_packet(&out[0])?;
+    let reply = ControlMsg::parse(payload)?;
+    host.complete_acquire(pending, &reply, Timestamp(0))
+}
+
+/// Deterministic, in-process edition of the daemon test below: an EphID
+/// issued through a `BorderCore` and durably logged still forwards after
+/// the core and its node are dropped and rebuilt over the same file, and
+/// fresh issuance after the restart never reuses a pre-crash IV.
+#[test]
+fn border_core_restart_serves_precrash_ephid_without_iv_reuse() {
+    let (mode, log) = (ReplayMode::Disabled, temp_log("disabled"));
+    let mirror = fresh_node(&AsDirectory::new());
+    let mut host =
+        HostAgent::attach(&mirror, Granularity::PerFlow, mode, Timestamp(0), HOST_SEED).unwrap();
+
+    let (node, _) = border_node(&log, mode);
+    let mut core = BorderCore::new(&node, node.br.clone(), mode, 2, 0);
+    let pre = issue_through(&mut core, &mut host).expect("issuance completes");
+    let issued_before_crash = node.infra.iv_alloc.issued();
+    drop(core);
+    drop(node);
+
+    let (node, replayed) = border_node(&log, mode);
+    assert!(replayed.records >= 1, "restart must replay the log");
+    assert!(
+        replayed.watermark >= issued_before_crash,
+        "watermark {} must cover every pre-crash IV ({issued_before_crash})",
+        replayed.watermark
+    );
+    let mut core = BorderCore::new(&node, node.br.clone(), mode, 2, 0);
+    let own = HostAddr::new(node.aid(), host.control_ephid().0);
+    let data = host.build_raw_packet(pre, own, b"pre-crash ephid still serves");
+    assert_eq!(core.step(Timestamp(0), vec![data.clone()]), vec![data]);
+
+    let post = issue_through(&mut core, &mut host).expect("post-restart issuance completes");
+    assert_ne!(
+        host.owned_ephid(post).ephid(),
+        host.owned_ephid(pre).ephid(),
+        "post-restart issuance reused a pre-crash IV"
+    );
+    assert_eq!((core.drops.total(), core.control_rejected), (0, 0));
+    let _ = std::fs::remove_dir_all(log.parent().unwrap());
+}
+
+/// Regression: a restarted border numbered its service replies from 0
+/// again, so under `replay_mode = nonce` every reply reused a nonce the
+/// host had already seen and was dropped as a replay. Seeding each run
+/// with the daemon's `first_reply_nonce` keeps the next issuance working.
+#[test]
+fn border_core_restart_in_nonce_mode_keeps_replies_fresh() {
+    let (mode, log) = (ReplayMode::NonceExtension, temp_log("nonce"));
+    let mirror = fresh_node(&AsDirectory::new());
+    let mut host =
+        HostAgent::attach(&mirror, Granularity::PerFlow, mode, Timestamp(0), HOST_SEED).unwrap();
+
+    let (node, _) = border_node(&log, mode);
+    let mut core = BorderCore::new(&node, node.br.clone(), mode, 1, first_reply_nonce());
+    issue_through(&mut core, &mut host).expect("issuance completes");
+    drop(core);
+    drop(node);
+
+    let (node, _) = border_node(&log, mode);
+    // Counting from 0 again, as the daemon used to: the reply is refused.
+    let mut from_zero = BorderCore::new(&node, node.br.clone(), mode, 1, 0);
+    assert!(matches!(
+        issue_through(&mut from_zero, &mut host),
+        Err(apna_core::Error::Replay)
+    ));
+    let mut core = BorderCore::new(&node, node.br.clone(), mode, 1, first_reply_nonce());
+    issue_through(&mut core, &mut host).expect("reply after the restart is accepted");
+    let _ = std::fs::remove_dir_all(log.parent().unwrap());
 }
 
 // ---------------------------------------------------------------------
