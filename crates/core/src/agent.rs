@@ -251,13 +251,7 @@ impl HostAgent {
             .pool
             .assignments()
             .map(|(_, idx)| idx)
-            .filter(|&idx| {
-                self.host
-                    .owned_ephid(idx)
-                    .cert
-                    .exp_time
-                    .expired_at(deadline)
-            })
+            .filter(|&idx| self.host.owned_cert(idx).exp_time.expired_at(deadline))
             .collect();
         stale.sort_unstable();
         stale.dedup();
@@ -373,7 +367,7 @@ impl HostAgent {
             name,
             owned.cert.clone(),
             ipv4,
-            &owned.keys.sign,
+            &owned.keys.sign(),
         ))
     }
 
@@ -388,9 +382,14 @@ impl HostAgent {
         current_idx: usize,
         ipv4: Option<Ipv4Addr>,
     ) -> ControlMsg {
-        let new_cert = self.host.owned_ephid(new_idx).cert.clone();
+        let new_cert = self.host.owned_cert(new_idx).clone();
         let current = self.host.owned_ephid(current_idx);
-        ControlMsg::DnsUpdate(DnsUpsert::signed(name, new_cert, ipv4, &current.keys.sign))
+        ControlMsg::DnsUpdate(DnsUpsert::signed(
+            name,
+            new_cert,
+            ipv4,
+            &current.keys.sign(),
+        ))
     }
 
     // -----------------------------------------------------------------
@@ -504,6 +503,70 @@ mod tests {
         assert_eq!(a.owned_ephid(j1).cert.exp_time, Timestamp(850 + 900));
         // Idempotent: nothing else near expiry now.
         assert_eq!(a.refresh_expiring(&node, Timestamp(850)).unwrap(), 0);
+    }
+
+    /// Every answer of `owned_index_of` equals a linear scan of the owned
+    /// list, through a seeded run of acquisitions, rotation waves, a
+    /// revocation eviction and a reply accepted twice (a duplicate EphID
+    /// keeps its first index). Probes: every owned EphID, the control
+    /// EphID, and random foreign EphIDs.
+    #[test]
+    fn owned_index_matches_linear_scan() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, RngCore, SeedableRng};
+        fn check(a: &HostAgent, rng: &mut StdRng) {
+            let scan =
+                |e: EphIdBytes| (0..a.ephid_count()).position(|i| a.owned_ephid(i).ephid() == e);
+            let mut probes: Vec<EphIdBytes> = (0..a.ephid_count())
+                .map(|i| a.owned_ephid(i).ephid())
+                .collect();
+            probes.push(a.control_ephid().0);
+            for _ in 0..8 {
+                let mut foreign = [0u8; 16];
+                rng.fill_bytes(&mut foreign);
+                probes.push(EphIdBytes(foreign));
+            }
+            for e in probes {
+                assert_eq!(a.owned_index_of(e), scan(e));
+            }
+        }
+
+        let node = node();
+        let mut a = agent(&node, Granularity::PerFlow, 5);
+        let mut rng = StdRng::seed_from_u64(26);
+        let mut now = Timestamp(0);
+        let mut rotated = 0;
+        for _wave in 0..4 {
+            for _ in 0..rng.gen_range(1..8) {
+                let flow = rng.gen_range(0..16u64);
+                a.ephid_for(&node, flow, 0, now).unwrap();
+                check(&a, &mut rng);
+            }
+            now = now.add_secs(rng.gen_range(300..900));
+            rotated += a.refresh_expiring(&node, now).unwrap();
+            check(&a, &mut rng);
+        }
+        assert!(rotated > 0, "the seeded run must include a rotation wave");
+
+        let victim = a.owned_ephid(rng.gen_range(0..a.ephid_count())).ephid();
+        a.handle_revocation(victim);
+        check(&a, &mut rng);
+
+        let (pending, msg) = a.begin_acquire(EphIdUsage::DATA_SHORT);
+        let keypair = pending.keypair.clone();
+        let reply = node
+            .handle_control_frame(&msg.serialize(), now)
+            .unwrap()
+            .unwrap();
+        let reply = ControlMsg::parse(&reply).unwrap();
+        let first = a.complete_acquire(pending, &reply, now).unwrap();
+        let ControlMsg::EphIdReply(again) = &reply else {
+            panic!("expected an EphID reply");
+        };
+        let second = a.host.accept_ephid_reply(keypair, again, now).unwrap();
+        assert_ne!(first, second);
+        assert_eq!(a.owned_index_of(a.owned_ephid(second).ephid()), Some(first));
+        check(&a, &mut rng);
     }
 
     #[test]

@@ -297,7 +297,7 @@ impl AsNode {
             served.requests.push(Some(kind));
         }
         let results = cp.handle_control_batch(&bodies, now);
-        let cmac = endpoint.kha.packet_cmac();
+        let cmac = endpoint.kha.cmac();
         for (dst, result) in reply_to.into_iter().zip(results) {
             let Ok(reply) = result else {
                 served.rejected += 1;

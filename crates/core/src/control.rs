@@ -682,7 +682,7 @@ mod tests {
 
     fn sample_upsert(name: &str, ipv4: Option<Ipv4Addr>) -> DnsUpsert {
         let kp = EphIdKeyPair::from_seed([2; 32]); // sample_cert's key pair
-        DnsUpsert::signed(name, sample_cert(), ipv4, &kp.sign)
+        DnsUpsert::signed(name, sample_cert(), ipv4, &kp.sign())
     }
 
     #[test]

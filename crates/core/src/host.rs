@@ -59,6 +59,16 @@ impl OwnedEphId {
     }
 }
 
+/// What a host stores per owned EphID: the certificate, which carries
+/// both public halves of the key pair (checked against the pair when the
+/// reply was accepted), and the pair's seed. A host keeps one of these per
+/// EphID it ever acquired, so [`Host::owned_ephid`] assembles the
+/// [`OwnedEphId`] on access instead of storing the public halves twice.
+struct HeldEphId {
+    cert: EphIdCert,
+    seed: [u8; 32],
+}
+
 /// An APNA host after bootstrapping.
 pub struct Host {
     /// The AS the host attaches to.
@@ -73,7 +83,11 @@ pub struct Host {
     pub ms_cert: EphIdCert,
     /// DNS endpoint certificate (from bootstrap).
     pub dns_cert: EphIdCert,
-    owned: Vec<OwnedEphId>,
+    owned: Vec<HeldEphId>,
+    /// `ephid → index into owned` (the first index, should an EphID ever
+    /// be issued twice), so ownership checks on the receive path are one
+    /// probe rather than a scan of every EphID ever acquired.
+    owned_index: HashMap<EphIdBytes, u32>,
     replay_mode: ReplayMode,
     nonce_counter: u64,
     recv_windows: HashMap<EphIdBytes, ReplayWindow>,
@@ -108,6 +122,7 @@ impl Host {
             ms_cert: reply.ms_cert.clone(),
             dns_cert: reply.dns_cert.clone(),
             owned: Vec::new(),
+            owned_index: HashMap::new(),
             replay_mode,
             nonce_counter: 0,
             recv_windows: HashMap::new(),
@@ -196,23 +211,36 @@ impl Host {
             reply,
             now,
         )?;
-        self.owned.push(OwnedEphId {
+        let idx = self.owned.len();
+        let slot = u32::try_from(idx).map_err(|_| Error::Session("owned EphID table full"))?;
+        self.owned_index.entry(cert.ephid).or_insert(slot);
+        self.owned.push(HeldEphId {
             cert,
-            keys: keypair,
+            seed: *keypair.seed(),
         });
-        Ok(self.owned.len() - 1)
+        Ok(idx)
     }
 
-    /// Accesses an owned EphID by index.
+    /// An owned EphID by index: its certificate, and its key pair
+    /// re-assembled from the stored seed and the certified public halves.
     #[must_use]
-    pub fn owned_ephid(&self, idx: usize) -> &OwnedEphId {
-        &self.owned[idx]
+    pub fn owned_ephid(&self, idx: usize) -> OwnedEphId {
+        let held = &self.owned[idx];
+        OwnedEphId {
+            cert: held.cert.clone(),
+            keys: EphIdKeyPair::from_checked_parts(held.seed, held.cert.sign_pub, held.cert.dh_pub),
+        }
+    }
+
+    /// The certificate of an owned EphID, without assembling its key pair.
+    pub(crate) fn owned_cert(&self, idx: usize) -> &EphIdCert {
+        &self.owned[idx].cert
     }
 
     /// The index of an owned EphID, if this host holds `ephid`.
     #[must_use]
     pub fn owned_index_of(&self, ephid: EphIdBytes) -> Option<usize> {
-        self.owned.iter().position(|o| o.cert.ephid == ephid)
+        self.owned_index.get(&ephid).map(|&idx| idx as usize)
     }
 
     /// Number of EphIDs the host holds (E9 metric).
@@ -241,7 +269,7 @@ impl Host {
     /// Builds an outgoing packet around an arbitrary payload (already
     /// sealed, or intentionally clear like ICMP).
     pub fn build_raw_packet(&mut self, src_idx: usize, dst: HostAddr, payload: &[u8]) -> Vec<u8> {
-        let src = self.owned[src_idx].addr(self.aid);
+        let src = HostAddr::new(self.aid, self.owned[src_idx].cert.ephid);
         self.finish_packet(ApnaHeader::new(src, dst), payload)
     }
 
@@ -258,9 +286,9 @@ impl Host {
         dst: HostAddr,
         payloads: &[Vec<u8>],
     ) -> Vec<Vec<u8>> {
-        let src = self.owned[src_idx].addr(self.aid);
+        let src = HostAddr::new(self.aid, self.owned[src_idx].cert.ephid);
         let template = ApnaHeader::new(src, dst);
-        let cmac = self.kha.packet_cmac();
+        let cmac = self.kha.cmac();
         payloads
             .iter()
             .map(|payload| {
@@ -293,10 +321,7 @@ impl Host {
             header = header.with_nonce(self.nonce_counter);
             self.nonce_counter += 1;
         }
-        let mac: [u8; 8] = self
-            .kha
-            .packet_cmac()
-            .mac_truncated(&header.mac_input(payload));
+        let mac: [u8; 8] = self.kha.cmac().mac_truncated(&header.mac_input(payload));
         header.set_mac(mac);
         let mut wire = header.serialize();
         wire.extend_from_slice(payload);
@@ -410,6 +435,18 @@ mod tests {
             .unwrap();
         assert_eq!(host.owned_index_of(owned.ephid()), Some(idx));
         assert_eq!(host.owned_index_of(EphIdBytes([0xEE; 16])), None);
+        // The re-assembled pair is the one its seed derives.
+        assert_eq!(
+            owned.keys.public_keys(),
+            EphIdKeyPair::from_seed(*owned.keys.seed()).public_keys()
+        );
+    }
+
+    /// A host keeps one record per EphID it ever acquired: the certificate
+    /// and the 32-byte seed, not a second copy of the public halves.
+    #[test]
+    fn held_ephid_is_cert_plus_seed() {
+        assert!(std::mem::size_of::<HeldEphId>() <= std::mem::size_of::<EphIdCert>() + 32);
     }
 
     /// Full end-to-end: bootstrap two hosts in different ASes, establish a
@@ -428,8 +465,8 @@ mod tests {
         let bi = bob
             .acquire_direct(&w.b.ms, CertKind::Data, ExpiryClass::Short, now)
             .unwrap();
-        let a_owned = alice.owned_ephid(ai).clone();
-        let b_owned = bob.owned_ephid(bi).clone();
+        let a_owned = alice.owned_ephid(ai);
+        let b_owned = bob.owned_ephid(bi);
 
         crate::session::verify_peer_cert(&b_owned.cert, &w.dir, now).unwrap();
         let mut ch_a = SecureChannel::establish(

@@ -54,13 +54,12 @@ struct IssuanceBucket {
 /// Per-host record.
 #[derive(Clone)]
 pub struct HostRecord {
-    /// The host↔AS shared key (both halves).
+    /// The host↔AS shared key (both halves). It carries the packet CMAC
+    /// for `k_HA^auth`, expanded once when the key was derived: the border
+    /// router verifies a packet MAC with it on every egress packet
+    /// (§V-B2), and re-running the AES key schedule per packet would
+    /// dominate the batched pipeline.
     pub key: HostAsKey,
-    /// Ready-to-use CMAC instance for `k_HA^auth`, expanded once at
-    /// registration: the border router verifies a packet MAC with this on
-    /// every egress packet (§V-B2), and re-running the AES key schedule
-    /// per packet would dominate the batched pipeline.
-    pub cmac: Arc<CmacAes128>,
     /// `true` once the AS revokes the HID (identity minting defense and
     /// §VIII-G2 escalation).
     pub revoked: bool,
@@ -161,12 +160,10 @@ impl HostDb {
 
     /// Registers a host record under `hid` (the RS's `host_info[HID] = kHA`).
     pub fn register(&self, hid: Hid, key: HostAsKey, now: Timestamp) {
-        let cmac = Arc::new(key.packet_cmac());
         self.shard(hid).write().insert(
             hid,
             HostRecord {
                 key,
-                cmac,
                 revoked: false,
                 revoked_ephid_count: 0,
                 registered_at: now,
@@ -194,7 +191,7 @@ impl HostDb {
         guard
             .get(&hid)
             .filter(|r| !r.revoked)
-            .map(|r| Arc::clone(&r.cmac))
+            .map(|r| r.key.shared_cmac())
     }
 
     /// Looks up the shared key of any *registered* host, revoked or not —
@@ -343,12 +340,10 @@ impl HostDb {
     /// Restores a host record from the durable log, overwriting any
     /// existing entry for `hid` and raising the HID allocator past it.
     pub fn restore(&self, export: &HostExport) {
-        let cmac = Arc::new(export.key.packet_cmac());
         self.shard(export.hid).write().insert(
             export.hid,
             HostRecord {
                 key: export.key.clone(),
-                cmac,
                 revoked: export.revoked,
                 revoked_ephid_count: export.strikes,
                 registered_at: export.registered_at,

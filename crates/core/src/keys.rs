@@ -116,12 +116,17 @@ pub struct HostAsKey {
     /// restored (key schedule, GHASH subkey and its power table) and shared
     /// by every clone. Derived state: never serialized, never printed.
     aead: Arc<AesGcm128>,
+    /// The packet CMAC over `auth`, expanded and shared the same way: the
+    /// host MACs every packet it sends with it, and the border router
+    /// verifies every egress packet with it.
+    cmac: Arc<CmacAes128>,
 }
 
 impl HostAsKey {
     fn from_halves(enc: [u8; 16], auth: [u8; 16]) -> HostAsKey {
         HostAsKey {
             aead: Arc::new(AesGcm128::new(&enc)),
+            cmac: Arc::new(CmacAes128::new(&auth)),
             enc,
             auth,
         }
@@ -155,10 +160,24 @@ impl HostAsKey {
         AesGcm128::clone(&self.aead)
     }
 
-    /// CMAC instance for per-packet authentication (`k_HA^auth`).
+    /// CMAC for per-packet authentication (`k_HA^auth`). Borrowed from the
+    /// key: no key schedule runs per packet.
+    #[must_use]
+    pub fn cmac(&self) -> &CmacAes128 {
+        &self.cmac
+    }
+
+    /// The shared handle behind [`HostAsKey::cmac`], for tables that hand
+    /// the CMAC out apart from the key.
+    pub(crate) fn shared_cmac(&self) -> Arc<CmacAes128> {
+        Arc::clone(&self.cmac)
+    }
+
+    /// An owned copy of [`HostAsKey::cmac`], for callers that keep the
+    /// CMAC apart from the key.
     #[must_use]
     pub fn packet_cmac(&self) -> CmacAes128 {
-        CmacAes128::new(&self.auth)
+        CmacAes128::clone(&self.cmac)
     }
 
     /// Test/diagnostic accessor: the two halves differ.
@@ -201,13 +220,17 @@ impl core::fmt::Debug for HostAsKey {
 /// (session keys, §IV-D1) and for signing (shutoff requests, §IV-E). As
 /// with the AS keys, we carry the Ed25519 and X25519 halves explicitly,
 /// derived from one 32-byte seed so the host stores only the seed.
+///
+/// The pair is the seed plus the two public halves (96 bytes): a host
+/// holds one per EphID it owns, and issuance and session setup read the
+/// public halves, while the secret halves are needed only to sign (rare)
+/// or to run one DH per session. So [`EphIdKeyPair::sign`] and
+/// [`EphIdKeyPair::dh`] re-derive them from the seed on each call.
 #[derive(Clone)]
 pub struct EphIdKeyPair {
     seed: [u8; 32],
-    /// Signing half (shutoff authorization).
-    pub sign: SigningKey,
-    /// DH half (session-key establishment).
-    pub dh: StaticSecret,
+    sign_pub: [u8; 32],
+    dh_pub: [u8; 32],
 }
 
 impl EphIdKeyPair {
@@ -218,15 +241,31 @@ impl EphIdKeyPair {
         EphIdKeyPair::from_seed(seed)
     }
 
-    /// Derives both halves from a seed.
+    /// Derives both halves from a seed, computing each public half once.
     #[must_use]
     pub fn from_seed(seed: [u8; 32]) -> EphIdKeyPair {
-        let sign_seed: [u8; 32] = hkdf::derive_key(b"apna-ephid-key", &seed, b"sign");
-        let dh_seed: [u8; 32] = hkdf::derive_key(b"apna-ephid-key", &seed, b"dh");
+        let mut pair = EphIdKeyPair {
+            seed,
+            sign_pub: [0; 32],
+            dh_pub: [0; 32],
+        };
+        pair.sign_pub = *pair.sign().verifying_key().as_bytes();
+        pair.dh_pub = pair.dh().public_key().0;
+        pair
+    }
+
+    /// Re-assembles a pair from its seed and public halves without deriving
+    /// them again. Only for halves already checked to be `seed`'s: a
+    /// certificate accepted for this pair certifies exactly them.
+    pub(crate) fn from_checked_parts(
+        seed: [u8; 32],
+        sign_pub: [u8; 32],
+        dh_pub: [u8; 32],
+    ) -> EphIdKeyPair {
         EphIdKeyPair {
             seed,
-            sign: SigningKey::from_seed(&sign_seed),
-            dh: StaticSecret::from_bytes(dh_seed),
+            sign_pub,
+            dh_pub,
         }
     }
 
@@ -236,13 +275,23 @@ impl EphIdKeyPair {
         &self.seed
     }
 
+    /// Signing half (shutoff authorization, DNS proof of possession),
+    /// re-derived from the seed.
+    #[must_use]
+    pub fn sign(&self) -> SigningKey {
+        SigningKey::from_seed(&hkdf::derive_key(b"apna-ephid-key", &self.seed, b"sign"))
+    }
+
+    /// DH half (session-key establishment), re-derived from the seed.
+    #[must_use]
+    pub fn dh(&self) -> StaticSecret {
+        StaticSecret::from_bytes(hkdf::derive_key(b"apna-ephid-key", &self.seed, b"dh"))
+    }
+
     /// Public halves in certificate order: `(sign_pub, dh_pub)`.
     #[must_use]
     pub fn public_keys(&self) -> ([u8; 32], [u8; 32]) {
-        (
-            *self.sign.verifying_key().as_bytes(),
-            self.dh.public_key().0,
-        )
+        (self.sign_pub, self.dh_pub)
     }
 }
 
@@ -342,10 +391,70 @@ mod tests {
     #[test]
     fn ephid_keypair_signing_works() {
         let kp = EphIdKeyPair::from_seed([4u8; 32]);
-        let sig = kp.sign.sign(b"shutoff evidence");
-        kp.sign
+        let sig = kp.sign().sign(b"shutoff evidence");
+        kp.sign()
             .verifying_key()
             .verify(b"shutoff evidence", &sig)
             .unwrap();
+    }
+
+    /// The 96-byte pair derives exactly what the pair that cached both
+    /// expanded secret halves did: public halves, signatures and DH
+    /// results for three fixed seeds, recorded from that layout.
+    #[test]
+    fn ephid_keypair_derivation_is_pinned() {
+        use apna_crypto::hex::encode;
+        let mut counting = [0u8; 32];
+        for (i, b) in counting.iter_mut().enumerate() {
+            *b = i as u8;
+        }
+        let peer = StaticSecret::from_bytes([0x77; 32]).public_key();
+        let pins = [
+            (
+                [0x01; 32],
+                "aa25e454cd7b3ac581838b701b65b43fc5866ee0253974e88da5dcd6b3aa5d2e",
+                "95ccbaa1d6ab12ea9df1434fc316dda7f598ab6715df5ee21ccb45dfb46d783e",
+                "01c564da3043c4cdef62d87162e988c20a12683cc33e962bc4b77b3611f4bded\
+                 d6b490e1191b7c7c56a4ca7e5984a520324085b534e8da172a97eb2c2614990f",
+                "1eab5dcb2ea102d34395fadeee16137ca822b8599457b767403827beb84a4f08",
+            ),
+            (
+                [0x5a; 32],
+                "53661cfbe4a38661922edc7f318402ba0230ca0c38952240f47b42d7571f8b48",
+                "9520f88291f6634256c9dfe127e0c96cf9c661a842bd436b1a0e2ad202672731",
+                "510aca4ac8f8019cb705aebf55e786baeb114faf2265f9e9f52da05c170e0452\
+                 1d7ce076a86c66ef3ba169d9d042bdd8bc95443a1624ff80e8bc64652b489b0b",
+                "98c593706c5a5edad0883958ed1ba44139e75fc24cd2e99e84c98348f9a4891f",
+            ),
+            (
+                counting,
+                "21ef6ff1180589d928691cd555789c380512e6d4d8e8e5b365007adc2b2b4a27",
+                "bf97c6c6c0ba866e749a7f04248a47c65286397325489b21ccdcddcd9299fe20",
+                "dc77125da1c353932e99aefb98d46b1eff37451933088ba695636e693793868b\
+                 b510d223e4da3403a928828eb9bcae3efe6ebc9c2e13fb4ba1c540c8a373a90c",
+                "ba77523e2ccde49cdadbc54c2a371fba03957e2a38672515032fdd7ba5efa854",
+            ),
+        ];
+        for (seed, sign_pub, dh_pub, sig, shared) in pins {
+            let kp = EphIdKeyPair::from_seed(seed);
+            let (sp, dp) = kp.public_keys();
+            assert_eq!(encode(&sp), sign_pub);
+            assert_eq!(encode(&dp), dh_pub);
+            assert_eq!(
+                encode(&kp.sign().sign(b"apna shutoff evidence").to_bytes()),
+                sig
+            );
+            assert_eq!(encode(kp.dh().diffie_hellman(&peer).as_bytes()), shared);
+            // The cached public halves agree with the re-derived secrets.
+            assert_eq!(sp, *kp.sign().verifying_key().as_bytes());
+            assert_eq!(dp, kp.dh().public_key().0);
+        }
+    }
+
+    /// A host holds one pair per owned EphID; this is the per-EphID
+    /// memory budget (seed + two public halves).
+    #[test]
+    fn ephid_keypair_fits_in_96_bytes() {
+        assert!(std::mem::size_of::<EphIdKeyPair>() <= 96);
     }
 }

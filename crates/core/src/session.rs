@@ -98,7 +98,7 @@ impl SecureChannel {
         peer_ephid: EphIdBytes,
         role: Role,
     ) -> Result<SecureChannel, Error> {
-        let shared = local.dh.diffie_hellman(peer_dh_pub);
+        let shared = local.dh().diffie_hellman(peer_dh_pub);
         if !shared.is_contributory() {
             return Err(Error::NonContributoryKey);
         }

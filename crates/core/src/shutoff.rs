@@ -47,7 +47,7 @@ impl ShutoffRequest {
     pub fn create(packet: &[u8], dst_keys: &EphIdKeyPair, dst_cert: EphIdCert) -> ShutoffRequest {
         ShutoffRequest {
             packet: packet.to_vec(),
-            signature: dst_keys.sign.sign(packet),
+            signature: dst_keys.sign().sign(packet),
             dst_cert,
         }
     }
@@ -669,12 +669,12 @@ mod tests {
             ExpiryClass::Short,
             Timestamp(0),
         );
-        let sig = src_kp.sign.sign(eid.as_bytes());
+        let sig = src_kp.sign().sign(eid.as_bytes());
         w.a.aa.preemptive_revoke(&cert, &sig, Timestamp(1)).unwrap();
         assert!(w.a.infra.revoked.contains(&eid));
         // A non-owner cannot preemptively revoke.
         let mallory = EphIdKeyPair::from_seed([7; 32]);
-        let sig2 = mallory.sign.sign(eid.as_bytes());
+        let sig2 = mallory.sign().sign(eid.as_bytes());
         assert!(w
             .a
             .aa

@@ -506,7 +506,7 @@ mod tests {
             "ctrl.example",
             f.service_cert.clone(),
             None,
-            &f.service_keys.sign,
+            &f.service_keys.sign(),
         ));
         let reply_frame = f
             .server
@@ -529,7 +529,7 @@ mod tests {
             "ctrl.example",
             f.service_cert.clone(),
             Some(addr),
-            &f.service_keys.sign,
+            &f.service_keys.sign(),
         ));
         f.server
             .handle_control_frame(&msg.serialize(), Timestamp(0))
@@ -552,7 +552,7 @@ mod tests {
             "auth.example",
             f.service_cert.clone(),
             None,
-            &f.service_keys.sign,
+            &f.service_keys.sign(),
         ));
         f.server.handle_control(&owner_reg, Timestamp(0)).unwrap();
 
@@ -578,7 +578,7 @@ mod tests {
             "auth.example",
             mallory_cert.clone(),
             None,
-            &mallory_kp.sign,
+            &mallory_kp.sign(),
         ));
         assert_eq!(
             f.server.handle_control(&squat, Timestamp(0)),
@@ -592,7 +592,7 @@ mod tests {
             "auth.example",
             mallory_cert.clone(),
             None,
-            &mallory_kp.sign,
+            &mallory_kp.sign(),
         ));
         assert_eq!(
             f.server.handle_control(&hijack, Timestamp(0)),
@@ -610,7 +610,7 @@ mod tests {
             "fresh.example",
             f.service_cert.clone(),
             None,
-            &mallory_kp.sign,
+            &mallory_kp.sign(),
         ));
         assert_eq!(
             f.server.handle_control(&steal, Timestamp(0)),
@@ -622,7 +622,7 @@ mod tests {
             "ghost.example",
             mallory_cert,
             None,
-            &mallory_kp.sign,
+            &mallory_kp.sign(),
         ));
         assert_eq!(
             f.server.handle_control(&ghost, Timestamp(0)),
@@ -644,7 +644,7 @@ mod tests {
             "auth.example",
             new_cert.clone(),
             None,
-            &f.service_keys.sign, // the retiring cert's key authorizes
+            &f.service_keys.sign(), // the retiring cert's key authorizes
         ));
         f.server.handle_control(&rotate, Timestamp(0)).unwrap();
         assert_eq!(f.server.resolve("auth.example").unwrap().cert, new_cert);

@@ -201,7 +201,7 @@ mod tests {
         );
         let (ea, eb) = (EphIdBytes([0xa; 16]), EphIdBytes([0xb; 16]));
         let channel = |local: &EphIdKeyPair, le, peer: &EphIdKeyPair, pe, role| {
-            SecureChannel::establish(local, le, &peer.dh.public_key(), pe, role).unwrap()
+            SecureChannel::establish(local, le, &peer.dh().public_key(), pe, role).unwrap()
         };
         let mut tx = channel(&ka, ea, &kb, eb, Role::Initiator);
         let mut tx_ref = channel(&ka, ea, &kb, eb, Role::Initiator);

@@ -189,7 +189,7 @@ impl ApnaGateway {
                 let local_idx =
                     self.host
                         .ephid_for(cp, pkt.tuple.flow_id(), pkt.tuple.dst_port, now)?;
-                let owned = self.host.owned_ephid(local_idx).clone();
+                let owned = self.host.owned_ephid(local_idx);
                 let (pending, hello) = client_connect(
                     &owned.keys,
                     &owned.cert,
@@ -255,10 +255,10 @@ impl ApnaGateway {
                 let recv_idx = self
                     .listener_idx
                     .ok_or(Error::Session("hello received but not listening"))?;
-                let recv = self.host.owned_ephid(recv_idx).clone();
+                let recv = self.host.owned_ephid(recv_idx);
                 // Fresh serving EphID per client (§VII-A).
                 let serve_idx = self.host.acquire(cp, EphIdUsage::DATA_SHORT, now)?;
-                let serving = self.host.owned_ephid(serve_idx).clone();
+                let serving = self.host.owned_ephid(serve_idx);
                 let (channel, early, accept) = server_accept_with_recv_ephid(
                     &recv.keys,
                     recv.ephid(),

@@ -103,6 +103,12 @@ pub trait PacketIo {
 
     /// Waits up to `timeout` for receive readiness. `true` means a
     /// subsequent [`PacketIo::recv_burst`] will yield at least one frame.
+    ///
+    /// `timeout` is a lower bound on an idle wait, not an upper one: the
+    /// backend's timer decides how long an idle call really blocks. The
+    /// UDP backend waits through `SO_RCVTIMEO`, which the kernel rounds
+    /// up to whole scheduler ticks, so a 5 ms poll can block for ~12 ms
+    /// (see [`udp::UdpBackend`]'s `poll`).
     fn poll(&mut self, timeout: Duration) -> Result<bool, IoError>;
 
     /// Cumulative I/O counters since the backend was created.

@@ -59,8 +59,8 @@ fn main() {
     let bi = net
         .agent_acquire(&mut bob, EphIdUsage::DATA_SHORT)
         .expect("bob EphID");
-    let alice_owned = alice.owned_ephid(ai).clone();
-    let bob_owned = bob.owned_ephid(bi).clone();
+    let alice_owned = alice.owned_ephid(ai);
+    let bob_owned = bob.owned_ephid(bi);
     println!(
         "2. EphIDs issued over the control plane: alice={:?} bob={:?}",
         alice_owned.ephid(),

@@ -50,7 +50,7 @@ fn main() {
     let vi = victim
         .acquire(net.node(Aid(2)), EphIdUsage::DATA_SHORT, now)
         .unwrap();
-    let victim_owned = victim.owned_ephid(vi).clone();
+    let victim_owned = victim.owned_ephid(vi);
     let victim_addr = victim_owned.addr(Aid(2));
 
     // Flood: 5 unwanted packets (unencrypted raw payloads — the spammer

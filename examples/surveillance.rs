@@ -60,7 +60,7 @@ fn main() {
     let ri = receiver
         .acquire(net.node(Aid(20)), EphIdUsage::DATA_SHORT, now)
         .unwrap();
-    let r_owned = receiver.owned_ephid(ri).clone();
+    let r_owned = receiver.owned_ephid(ri);
     let r_addr = r_owned.addr(Aid(20));
 
     let secret = b"the secret payload surveillance must not read";
@@ -72,7 +72,7 @@ fn main() {
     ] {
         for flow in 0..3u64 {
             let idx = host.ephid_for(net.node(ms_aid), flow, 0, now).unwrap();
-            let owned = host.owned_ephid(idx).clone();
+            let owned = host.owned_ephid(idx);
             let mut ch = SecureChannel::establish(
                 &owned.keys,
                 owned.ephid(),

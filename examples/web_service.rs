@@ -45,8 +45,8 @@ fn main() {
     let serve_idx = server
         .acquire(net.node(Aid(200)), EphIdUsage::DATA_SHORT, now)
         .unwrap();
-    let recv = server.owned_ephid(recv_idx).clone();
-    let serving = server.owned_ephid(serve_idx).clone();
+    let recv = server.owned_ephid(recv_idx);
+    let serving = server.owned_ephid(serve_idx);
 
     // The zone runs at the server's AS; the registration crosses the
     // network as a DnsRegister control message and is acknowledged.
@@ -71,7 +71,7 @@ fn main() {
     let ci = client
         .acquire(net.node(Aid(100)), EphIdUsage::DATA_SHORT, now)
         .unwrap();
-    let client_owned = client.owned_ephid(ci).clone();
+    let client_owned = client.owned_ephid(ci);
 
     // Resolve + verify the record (zone signature and AS certificate).
     let dns = net.dns(Aid(200)).expect("zone attached");

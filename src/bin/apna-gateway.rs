@@ -204,7 +204,10 @@ impl GatewayDaemon<'_> {
                 }
             }
             // One poll bounds the loop's idle spin; both sockets are then
-            // read non-blockingly.
+            // read non-blockingly. The poll watches the APNA socket only,
+            // and its 5 ms is an SO_RCVTIMEO that the kernel rounds up to
+            // whole ticks (~12 ms at CONFIG_HZ=250; `UdpBackend::poll`), so
+            // a legacy datagram that arrives meanwhile waits that long.
             let _ = self
                 .apna_io
                 .poll(Duration::from_millis(5))

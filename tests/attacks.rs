@@ -194,8 +194,8 @@ fn forward_secrecy_of_recorded_traffic() {
     let bi = bob
         .acquire(&w.b, EphIdUsage::DATA_SHORT, Timestamp(0))
         .unwrap();
-    let a_owned = alice.owned_ephid(ai).clone();
-    let b_owned = bob.owned_ephid(bi).clone();
+    let a_owned = alice.owned_ephid(ai);
+    let b_owned = bob.owned_ephid(bi);
     let mut ch = SecureChannel::establish(
         &a_owned.keys,
         a_owned.ephid(),
@@ -281,7 +281,7 @@ fn unauthorized_shutoff_matrix() {
     let ri = recipient
         .acquire(&w.b, EphIdUsage::DATA_SHORT, Timestamp(0))
         .unwrap();
-    let r_owned = recipient.owned_ephid(ri).clone();
+    let r_owned = recipient.owned_ephid(ri);
     let genuine = sender.build_raw_packet(si, r_owned.addr(Aid(2)), b"evidence");
 
     // (a) Fabricated packet (source never sent it): bad source-AS mark.
@@ -303,7 +303,7 @@ fn unauthorized_shutoff_matrix() {
     let oi = observer
         .acquire(&w.b, EphIdUsage::DATA_SHORT, Timestamp(0))
         .unwrap();
-    let o_owned = observer.owned_ephid(oi).clone();
+    let o_owned = observer.owned_ephid(oi);
     let req = ShutoffRequest::create(&genuine, &o_owned.keys, o_owned.cert.clone());
     assert!(matches!(
         w.a.aa.handle(&req, ReplayMode::Disabled, Timestamp(1)),

@@ -64,9 +64,9 @@ fn memsink_kill_and_replay_restores_exact_state() {
     let gone = host
         .acquire(&node1, EphIdUsage::DATA_SHORT, Timestamp(0))
         .unwrap();
-    let kept = host.owned_ephid(keep).clone();
-    let revoked = host.owned_ephid(gone).clone();
-    let sig = revoked.keys.sign.sign(revoked.ephid().as_bytes());
+    let kept = host.owned_ephid(keep);
+    let revoked = host.owned_ephid(gone);
+    let sig = revoked.keys.sign().sign(revoked.ephid().as_bytes());
     node1
         .aa
         .preemptive_revoke(&revoked.cert, &sig, Timestamp(1))
@@ -157,8 +157,8 @@ fn snapshot_plus_tail_equals_full_log() {
     let b = host
         .acquire(&node1, EphIdUsage::DATA_SHORT, Timestamp(0))
         .unwrap();
-    let owned_b = host.owned_ephid(b).clone();
-    let sig = owned_b.keys.sign.sign(owned_b.ephid().as_bytes());
+    let owned_b = host.owned_ephid(b);
+    let sig = owned_b.keys.sign().sign(owned_b.ephid().as_bytes());
     node1
         .aa
         .preemptive_revoke(&owned_b.cert, &sig, Timestamp(1))

@@ -60,7 +60,7 @@ fn nat_mode_client_reaches_remote_host() {
     let bi = bob
         .acquire(&b, EphIdUsage::DATA_SHORT, Timestamp(0))
         .unwrap();
-    let bob_owned = bob.owned_ephid(bi).clone();
+    let bob_owned = bob.owned_ephid(bi);
 
     // End-to-end encryption laptop↔bob: the AP cannot read it (it never
     // sees the laptop's EphID private key).
@@ -157,7 +157,7 @@ fn apna_as_a_service_accountability_chain() {
     let vi = victim
         .acquire(&remote, EphIdUsage::DATA_SHORT, Timestamp(0))
         .unwrap();
-    let v_owned = victim.owned_ephid(vi).clone();
+    let v_owned = victim.owned_ephid(vi);
 
     // The bad customer floods the victim (via the downstream AP).
     let mut header = ApnaHeader::new(HostAddr::new(Aid(1), bad_cert.ephid), v_owned.addr(Aid(2)));
@@ -224,7 +224,7 @@ fn encrypted_dns_workflow() {
     let ri = resolver_host
         .acquire(&b, EphIdUsage::RECEIVE_ONLY, Timestamp(0))
         .unwrap();
-    let r_owned = resolver_host.owned_ephid(ri).clone();
+    let r_owned = resolver_host.owned_ephid(ri);
 
     // Publish a service record.
     let mut svc = HostAgent::attach(
@@ -252,7 +252,7 @@ fn encrypted_dns_workflow() {
     let ci = client
         .acquire(&a, EphIdUsage::DATA_SHORT, Timestamp(0))
         .unwrap();
-    let c_owned = client.owned_ephid(ci).clone();
+    let c_owned = client.owned_ephid(ci);
     let mut ch_client = SecureChannel::establish(
         &c_owned.keys,
         c_owned.ephid(),

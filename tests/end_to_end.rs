@@ -42,8 +42,8 @@ fn encrypted_session_across_three_hops() {
     let di = dave
         .acquire(net.node(Aid(4)), EphIdUsage::DATA_SHORT, now)
         .unwrap();
-    let a_owned = alice.owned_ephid(ai).clone();
-    let d_owned = dave.owned_ephid(di).clone();
+    let a_owned = alice.owned_ephid(ai);
+    let d_owned = dave.owned_ephid(di);
 
     verify_peer_cert(&d_owned.cert, &net.directory, now).unwrap();
     let mut ch_a = SecureChannel::establish(
@@ -128,7 +128,7 @@ fn shutoff_effective_across_topology() {
     let di = dave
         .acquire(net.node(Aid(4)), EphIdUsage::DATA_SHORT, now)
         .unwrap();
-    let d_owned = dave.owned_ephid(di).clone();
+    let d_owned = dave.owned_ephid(di);
 
     let wire = alice.build_raw_packet(ai, d_owned.addr(Aid(4)), b"unwanted");
     net.send(Aid(1), wire);
@@ -187,8 +187,8 @@ fn lossy_link_drops_show_in_fates_and_macs_catch_corruption() {
     let bi = bob
         .acquire(net.node(Aid(2)), EphIdUsage::DATA_SHORT, now)
         .unwrap();
-    let a_owned = alice.owned_ephid(ai).clone();
-    let b_owned = bob.owned_ephid(bi).clone();
+    let a_owned = alice.owned_ephid(ai);
+    let b_owned = bob.owned_ephid(bi);
     let mut ch_a = SecureChannel::establish(
         &a_owned.keys,
         a_owned.ephid(),

@@ -127,7 +127,7 @@ fn six_strikes_escalates_to_hid_revocation_and_reissue_recovers() {
     let vi = victim
         .acquire(&b, EphIdUsage::DATA_LONG, Timestamp(0))
         .unwrap();
-    let v_owned = victim.owned_ephid(vi).clone();
+    let v_owned = victim.owned_ephid(vi);
 
     let mut hid = None;
     for strike in 0..6 {
@@ -217,9 +217,9 @@ fn preemptive_revocation_lifecycle() {
     let idx = host
         .acquire(&a, EphIdUsage::DATA_SHORT, Timestamp(0))
         .unwrap();
-    let owned = host.owned_ephid(idx).clone();
+    let owned = host.owned_ephid(idx);
     // The host retires its own EphID (e.g., the flow ended early).
-    let sig = owned.keys.sign.sign(owned.ephid().as_bytes());
+    let sig = owned.keys.sign().sign(owned.ephid().as_bytes());
     a.aa.preemptive_revoke(&owned.cert, &sig, Timestamp(1))
         .unwrap();
     // The host's pool evicts it, and the border drops it.

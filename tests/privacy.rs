@@ -54,8 +54,8 @@ fn wire_leaks_only_as_pair_and_opaque_ids() {
     let bi = bob
         .acquire(net.node(Aid(2)), EphIdUsage::DATA_SHORT, now)
         .unwrap();
-    let a_owned = alice.owned_ephid(ai).clone();
-    let b_owned = bob.owned_ephid(bi).clone();
+    let a_owned = alice.owned_ephid(ai);
+    let b_owned = bob.owned_ephid(bi);
     let mut ch = SecureChannel::establish(
         &a_owned.keys,
         a_owned.ephid(),
@@ -195,8 +195,8 @@ fn destination_as_cannot_read_payloads() {
     let bi = bob
         .acquire(net.node(Aid(2)), EphIdUsage::DATA_SHORT, now)
         .unwrap();
-    let a_owned = alice.owned_ephid(ai).clone();
-    let b_owned = bob.owned_ephid(bi).clone();
+    let a_owned = alice.owned_ephid(ai);
+    let b_owned = bob.owned_ephid(bi);
     let mut ch = SecureChannel::establish(
         &a_owned.keys,
         a_owned.ephid(),
