@@ -1,8 +1,7 @@
 //! Deployment helpers for the long-lived daemons (`apna-border`,
-//! `apna-gateway`): key-material files, config-value parsing, a
-//! control-plane wrapper that tallies [`ControlCounters`] for the stats
-//! endpoints, and [`BorderCore`], the border daemon's burst logic with no
-//! socket and no clock.
+//! `apna-gateway`): key-material files, config-value parsing, and
+//! [`BorderCore`], the border daemon's burst logic with no socket and no
+//! clock.
 //!
 //! Both daemons build their [`crate::AsNode`] deterministically from a
 //! 32-byte seed file ([`parse_seed_file`] / [`encode_seed_file`]), so two
@@ -13,13 +12,11 @@
 
 use crate::asnode::AsNode;
 use crate::border::{BorderRouter, Direction, DropCounters, Verdict};
-use crate::control::{ControlCounters, ControlMsg, ControlPlane};
+use crate::control::ControlCounters;
 use crate::granularity::Granularity;
 use crate::hid::Hid;
 use crate::time::Timestamp;
-use crate::Error;
 use apna_wire::{PacketBatch, ReplayMode};
-use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
 
 /// Decodes a 64-hex-digit string into a 32-byte seed.
@@ -116,72 +113,6 @@ pub fn parse_replay_mode(s: &str) -> Result<ReplayMode, String> {
         other => Err(format!(
             "unknown replay mode {other:?} (expected disabled or nonce)"
         )),
-    }
-}
-
-/// A [`ControlPlane`] decorator that tallies the [`ControlCounters`] of
-/// every message flowing through it (requests and replies), for the
-/// daemons' stats endpoints.
-///
-/// Interior mutability keeps the wrapper usable behind the trait's `&self`
-/// methods; the daemons are single-threaded run loops, so a [`RefCell`]
-/// suffices.
-pub struct CountingControlPlane<'a> {
-    inner: &'a dyn ControlPlane,
-    counters: RefCell<ControlCounters>,
-}
-
-impl<'a> CountingControlPlane<'a> {
-    /// Wraps `inner`, starting all tallies at zero.
-    #[must_use]
-    pub fn new(inner: &'a dyn ControlPlane) -> CountingControlPlane<'a> {
-        CountingControlPlane {
-            inner,
-            counters: RefCell::new(ControlCounters::default()),
-        }
-    }
-
-    /// A snapshot of the tallies so far.
-    #[must_use]
-    pub fn counters(&self) -> ControlCounters {
-        *self.counters.borrow()
-    }
-}
-
-impl ControlPlane for CountingControlPlane<'_> {
-    fn handle_control(
-        &self,
-        msg: &ControlMsg,
-        now: Timestamp,
-    ) -> Result<Option<ControlMsg>, Error> {
-        self.counters.borrow_mut().record(msg.kind());
-        let reply = self.inner.handle_control(msg, now)?;
-        if let Some(r) = &reply {
-            self.counters.borrow_mut().record(r.kind());
-        }
-        Ok(reply)
-    }
-
-    /// Delegates the whole burst to the inner plane's batched path (so the
-    /// daemons keep the pipelining win), tallying every parseable request
-    /// and reply frame around it.
-    fn handle_control_batch(
-        &self,
-        frames: &[&[u8]],
-        now: Timestamp,
-    ) -> Vec<Result<Option<Vec<u8>>, Error>> {
-        for frame in frames {
-            if let Ok(msg) = ControlMsg::parse(frame) {
-                self.counters.borrow_mut().record(msg.kind());
-            }
-        }
-        let results = self.inner.handle_control_batch(frames, now);
-        for reply in results.iter().flatten().flatten() {
-            if let Ok(msg) = ControlMsg::parse(reply) {
-                self.counters.borrow_mut().record(msg.kind());
-            }
-        }
-        results
     }
 }
 
@@ -356,7 +287,6 @@ mod tests {
     use super::*;
     use crate::agent::{EphIdUsage, HostAgent};
     use crate::asnode::AsNode;
-    use crate::control::ControlKind;
     use crate::directory::AsDirectory;
     use apna_wire::Aid;
 
@@ -394,27 +324,6 @@ mod tests {
             ReplayMode::NonceExtension
         );
         assert!(parse_replay_mode("on").is_err());
-    }
-
-    #[test]
-    fn counting_control_plane_tallies_roundtrips() {
-        let dir = AsDirectory::new();
-        let node = AsNode::from_seed(Aid(9), [9u8; 32], &dir, Timestamp::EPOCH);
-        let counting = CountingControlPlane::new(&node);
-        let mut agent = HostAgent::attach(
-            &node,
-            Granularity::PerFlow,
-            ReplayMode::Disabled,
-            Timestamp::EPOCH,
-            42,
-        )
-        .unwrap();
-        agent
-            .acquire(&counting, EphIdUsage::DATA_SHORT, Timestamp::EPOCH)
-            .unwrap();
-        let c = counting.counters();
-        assert_eq!(c.count(ControlKind::EphIdRequest), 1);
-        assert_eq!(c.count(ControlKind::EphIdReply), 1);
     }
 
     #[test]

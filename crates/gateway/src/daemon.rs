@@ -4,13 +4,17 @@
 //! fronting the legacy clients, one fronting the legacy server, with the
 //! server side publishing a receive-only EphID through DNS and the client
 //! side synthesizing a placeholder IPv4 for it. [`TranslatorPair`]
-//! packages that bootstrap plus the two run-loop entry points the daemon
-//! needs:
+//! packages that bootstrap plus the daemon's burst logic, with no socket
+//! and no clock: [`TranslatorPair::step`] runs a burst that arrived on one
+//! [`Port`] and [`TranslatorPair::tick`] rotates EphIDs, both counting
+//! failures and control traffic. Under them sit the uncounted entry
+//! points the in-process benchmark drives directly:
 //!
 //! * [`TranslatorPair::handle_legacy`] — an IPv4 datagram arrived on the
 //!   legacy side; route it to whichever gateway fronts its sender.
 //! * [`TranslatorPair::handle_apna`] — a GRE frame arrived from the
 //!   border router; demultiplex by destination EphID ownership.
+//! * [`TranslatorPair::refresh_expiring`] — rotate EphIDs near expiry.
 //!
 //! Everything here is deterministic given the AS node and the config
 //! seeds, which is what lets the border daemon in another process
@@ -21,7 +25,7 @@ use crate::legacy::LegacyPacket;
 use crate::translator::{ApnaGateway, GatewayOutput};
 use apna_core::agent::HostAgent;
 use apna_core::asnode::AsNode;
-use apna_core::control::ControlPlane;
+use apna_core::control::{ControlCounters, ControlKind, ControlMsg, ControlPlane};
 use apna_core::directory::AsDirectory;
 use apna_core::granularity::Granularity;
 use apna_core::time::Timestamp;
@@ -30,6 +34,7 @@ use apna_crypto::ed25519::SigningKey;
 use apna_dns::DnsServer;
 use apna_wire::ipv4::Ipv4Addr;
 use apna_wire::{gre, ApnaHeader, ReplayMode};
+use std::cell::Cell;
 
 /// Bootstrap parameters for a [`TranslatorPair`], one field per daemon
 /// config key (see the `apna-gateway` binary).
@@ -75,6 +80,16 @@ impl PairConfig {
     }
 }
 
+/// The two sockets of the translator daemon; `Port::X as usize` indexes
+/// [`TranslatorPair::step`]'s output.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Port {
+    /// GRE frames to and from the border router.
+    Apna,
+    /// Serialized [`LegacyPacket`]s to and from the legacy endpoints.
+    Legacy,
+}
+
 /// The client-side + server-side gateway pair one translator daemon runs.
 pub struct TranslatorPair {
     /// Gateway fronting the legacy clients.
@@ -88,6 +103,18 @@ pub struct TranslatorPair {
     replay_mode: ReplayMode,
     /// Legacy datagrams that failed to route to either gateway.
     pub unroutable: u64,
+    /// EphIDs [`TranslatorPair::tick`] rotated.
+    pub rotated: u64,
+    /// Legacy-port datagrams [`TranslatorPair::step`] could not parse.
+    pub legacy_parse_errors: u64,
+    /// Parsed datagrams and frames [`TranslatorPair::step`] could not
+    /// translate (unroutable ones included).
+    pub translate_errors: u64,
+    /// [`TranslatorPair::tick`]s whose rotation failed.
+    pub refresh_errors: u64,
+    /// Control requests and replies of `bootstrap`, `step` and `tick`,
+    /// per kind.
+    pub control: ControlCounters,
 }
 
 impl TranslatorPair {
@@ -96,8 +123,8 @@ impl TranslatorPair {
     /// the server listener, publishes it in a local DNS zone, and teaches
     /// the client side the synthesized service address.
     ///
-    /// Control traffic flows through `cp` so the daemon can interpose a
-    /// `apna_core::deploy::CountingControlPlane` for its stats endpoint.
+    /// The listener's EphID acquisition through `cp` is tallied in
+    /// [`TranslatorPair::control`].
     pub fn bootstrap(
         node: &AsNode,
         cp: &dyn ControlPlane,
@@ -135,7 +162,8 @@ impl TranslatorPair {
         );
 
         let dns = DnsServer::new(SigningKey::from_seed(&cfg.dns_zone_seed));
-        let recv_cert = server.listen(cp, now)?;
+        let cp = Tallied::new(cp, ControlCounters::default());
+        let recv_cert = server.listen(&cp, now)?;
         dns.register(&cfg.service_name, recv_cert, None);
         let record = dns
             .resolve(&cfg.service_name)
@@ -148,7 +176,61 @@ impl TranslatorPair {
             synth_ip,
             replay_mode: cfg.replay_mode,
             unroutable: 0,
+            rotated: 0,
+            legacy_parse_errors: 0,
+            translate_errors: 0,
+            refresh_errors: 0,
+            control: cp.control.get(),
         })
+    }
+
+    /// Runs one burst received on `port` at `now`: legacy datagrams are
+    /// parsed and routed by [`TranslatorPair::handle_legacy`], GRE frames
+    /// by [`TranslatorPair::handle_apna`]. Returns the frames to send on
+    /// each port, indexed by [`Port`], in translation order. Failures are
+    /// counted, never returned.
+    pub fn step(
+        &mut self,
+        now: Timestamp,
+        cp: &dyn ControlPlane,
+        port: Port,
+        frames: Vec<Vec<u8>>,
+    ) -> [Vec<Vec<u8>>; 2] {
+        let cp = Tallied::new(cp, self.control);
+        let (mut apna, mut legacy) = (Vec::new(), Vec::new());
+        for frame in frames {
+            let translated = match port {
+                Port::Apna => self.handle_apna(&frame, &cp, now),
+                Port::Legacy => match LegacyPacket::parse(&frame) {
+                    Ok(pkt) => self.handle_legacy(&pkt, &cp, now),
+                    Err(_) => {
+                        self.legacy_parse_errors += 1;
+                        continue;
+                    }
+                },
+            };
+            match translated {
+                Ok(out) => {
+                    apna.extend(out.frames);
+                    legacy.extend(out.legacy.iter().map(LegacyPacket::serialize));
+                }
+                Err(_) => self.translate_errors += 1,
+            }
+        }
+        self.control = cp.control.get();
+        [apna, legacy]
+    }
+
+    /// The daemon's once-per-pass upkeep at `now`: rotates EphIDs near
+    /// expiry through [`TranslatorPair::refresh_expiring`], counting the
+    /// rotations or the failure.
+    pub fn tick(&mut self, now: Timestamp, cp: &dyn ControlPlane) {
+        let cp = Tallied::new(cp, self.control);
+        match self.refresh_expiring(&cp, now) {
+            Ok(n) => self.rotated += n as u64,
+            Err(_) => self.refresh_errors += 1,
+        }
+        self.control = cp.control.get();
     }
 
     /// Routes one legacy datagram to the gateway fronting its sender:
@@ -219,6 +301,66 @@ impl TranslatorPair {
     #[must_use]
     pub fn host_seeds(cfg: &PairConfig) -> [u64; 2] {
         [cfg.client_seed, cfg.server_seed]
+    }
+}
+
+/// A control plane that tallies each request and reply crossing it into
+/// `control`: how the pair counts the control traffic it causes.
+struct Tallied<'a> {
+    cp: &'a dyn ControlPlane,
+    control: Cell<ControlCounters>,
+}
+
+impl<'a> Tallied<'a> {
+    fn new(cp: &'a dyn ControlPlane, control: ControlCounters) -> Tallied<'a> {
+        Tallied {
+            cp,
+            control: Cell::new(control),
+        }
+    }
+
+    fn record(&self, kind: ControlKind) {
+        let mut control = self.control.get();
+        control.record(kind);
+        self.control.set(control);
+    }
+
+    fn record_frame(&self, frame: &[u8]) {
+        if let Ok(msg) = ControlMsg::parse(frame) {
+            self.record(msg.kind());
+        }
+    }
+}
+
+impl ControlPlane for Tallied<'_> {
+    fn handle_control(
+        &self,
+        msg: &ControlMsg,
+        now: Timestamp,
+    ) -> Result<Option<ControlMsg>, Error> {
+        self.record(msg.kind());
+        let reply = self.cp.handle_control(msg, now)?;
+        if let Some(r) = &reply {
+            self.record(r.kind());
+        }
+        Ok(reply)
+    }
+
+    /// Hands the whole burst to the inner plane's batched path, tallying
+    /// every parseable request and reply frame around it.
+    fn handle_control_batch(
+        &self,
+        frames: &[&[u8]],
+        now: Timestamp,
+    ) -> Vec<Result<Option<Vec<u8>>, Error>> {
+        for frame in frames {
+            self.record_frame(frame);
+        }
+        let results = self.cp.handle_control_batch(frames, now);
+        for reply in results.iter().flatten().flatten() {
+            self.record_frame(reply);
+        }
+        results
     }
 }
 
@@ -362,6 +504,28 @@ mod tests {
         );
         assert!(pair.handle_legacy(&stray, &node, now).is_err());
         assert_eq!(pair.unroutable, 1);
+    }
+
+    /// The pair tallies every control request and reply it causes: the
+    /// listener's acquisition at bootstrap, then the client side's flow
+    /// EphID when `step` opens a flow.
+    #[test]
+    fn pair_tallies_control_roundtrips() {
+        use apna_core::control::ControlKind;
+        let now = Timestamp::EPOCH;
+        let dir = AsDirectory::new();
+        let node = AsNode::from_seed(Aid(9), [9u8; 32], &dir, now);
+        let cfg = PairConfig::new(1, 2);
+        let mut pair = TranslatorPair::bootstrap(&node, &node, &dir, &cfg, now).unwrap();
+        let counts = |pair: &TranslatorPair| {
+            [ControlKind::EphIdRequest, ControlKind::EphIdReply].map(|k| pair.control.count(k))
+        };
+        assert_eq!(counts(&pair), [1, 1]);
+        let request = LegacyPacket::udp(Ipv4Addr::new(192, 168, 1, 9), 9, pair.synth_ip, 7, b"x");
+        let [apna, legacy] = pair.step(now, &node, Port::Legacy, vec![request.serialize()]);
+        assert_eq!((apna.len(), legacy.len()), (1, 0));
+        assert_eq!(counts(&pair), [2, 2]);
+        assert_eq!(pair.control.total(), 4);
     }
 
     #[test]

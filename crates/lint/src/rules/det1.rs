@@ -1,14 +1,20 @@
-//! DET-1: determinism in `apna-simnet`.
+//! DET-1: determinism in `apna-simnet` and the daemon cores.
 //!
 //! The simnet's contract — byte-identical reruns under one seed, diffed
 //! in CI — dies the moment a verdict, tally, or log line depends on
 //! wall-clock time, ambient randomness, or `HashMap`/`HashSet` iteration
-//! order (the default hasher is RandomState: per-process order). This
-//! rule flags:
+//! order (the default hasher is RandomState: per-process order). The
+//! daemon cores (`BorderCore` in `crates/core/src/deploy.rs`,
+//! `TranslatorPair` in `crates/gateway/src/daemon.rs`) hold the same
+//! contract so tests and the simulator can drive them: time arrives as
+//! `now`, frames arrive and leave as values, and the shell owns the
+//! sockets and the terminal. This rule flags:
 //!
 //! 1. `Instant::now` / `SystemTime::now` / `thread_rng` / `rand::random`
-//!    anywhere in the crate, and
-//! 2. order-revealing calls (`iter`, `keys`, `values`, `drain`, `retain`,
+//!    anywhere in scope,
+//! 2. socket types (`UdpSocket`, `TcpListener`, `TcpStream`) and
+//!    `println!` / `eprintln!`, and
+//! 3. order-revealing calls (`iter`, `keys`, `values`, `drain`, `retain`,
 //!    `into_iter`, …) and `for`-loop headers on bindings the file
 //!    declares as `HashMap`/`HashSet`.
 //!
@@ -24,6 +30,14 @@ use std::collections::BTreeSet;
 
 /// See module docs.
 pub struct Det1;
+
+/// The files besides `crates/simnet/src/` in scope: the daemon cores.
+const CORE_FILES: [&str; 2] = ["crates/core/src/deploy.rs", "crates/gateway/src/daemon.rs"];
+
+/// Socket types and printing macros: I/O that belongs to a daemon's
+/// shell, not to a deterministic core.
+const SOCKETS: [&str; 3] = ["UdpSocket", "TcpListener", "TcpStream"];
+const PRINTS: [&str; 2] = ["println", "eprintln"];
 
 /// Method calls whose result depends on hash-iteration order.
 const ORDER_REVEALING: [&str; 10] = [
@@ -59,11 +73,11 @@ impl Rule for Det1 {
     }
 
     fn describe(&self) -> &'static str {
-        "no ambient time/rng or hash-order iteration in apna-simnet"
+        "no ambient time/rng, sockets, printing or hash-order iteration in apna-simnet and the daemon cores"
     }
 
     fn applies_to(&self, path: &str) -> bool {
-        path.contains("crates/simnet/src/")
+        path.contains("crates/simnet/src/") || CORE_FILES.iter().any(|f| path.ends_with(f))
     }
 
     fn check(&self, file: &SourceFile, out: &mut Vec<Finding>) {
@@ -82,7 +96,10 @@ impl Rule for Det1 {
                     "DET-1",
                     file,
                     t.line,
-                    format!("`{}::now` breaks seeded reruns — use the sim clock", t.text),
+                    format!(
+                        "`{}::now` breaks seeded reruns — use the sim clock or take `now` as an argument",
+                        t.text
+                    ),
                 ));
                 continue;
             }
@@ -99,7 +116,23 @@ impl Rule for Det1 {
                 ));
                 continue;
             }
-            // 2. Order-revealing calls on hash-typed bindings.
+            // 2. Sockets and printing.
+            if SOCKETS.contains(&t.text.as_str())
+                || (PRINTS.contains(&t.text.as_str())
+                    && toks.get(i + 1).is_some_and(|p| p.is_punct("!")))
+            {
+                out.push(Finding::new(
+                    "DET-1",
+                    file,
+                    t.line,
+                    format!(
+                        "`{}` is shell I/O — take frames and `now` as arguments, return what to send",
+                        t.text
+                    ),
+                ));
+                continue;
+            }
+            // 3. Order-revealing calls on hash-typed bindings.
             if hashy.contains(&t.text)
                 && toks.get(i + 1).is_some_and(|p| p.is_punct("."))
                 && toks
@@ -119,7 +152,7 @@ impl Rule for Det1 {
                 ));
                 continue;
             }
-            // 3. `for … in <expr with hash binding>` headers.
+            // 4. `for … in <expr with hash binding>` headers.
             if t.is_ident("for") {
                 if let Some(find) = for_header_hash_use(file, i, &hashy) {
                     out.push(find);
@@ -302,6 +335,20 @@ mod tests {
                    }\n";
         let out = run(src);
         assert!(out.is_empty(), "{out:?}");
+    }
+
+    #[test]
+    fn flags_sockets_and_printing_in_a_core() {
+        let src = "fn f(s: &UdpSocket) {\n    println!(\"x\");\n    let println = 1;\n}\n";
+        for path in ["crates/gateway/src/daemon.rs", "crates/core/src/deploy.rs"] {
+            let f = SourceFile::parse(path, src);
+            let mut out = Vec::new();
+            Det1.check(&f, &mut out);
+            assert_eq!(out.iter().map(|f| f.line).collect::<Vec<_>>(), [1, 2]);
+        }
+        assert!(Det1.applies_to("crates/core/src/deploy.rs"));
+        assert!(!Det1.applies_to("src/daemon.rs"));
+        assert!(!Det1.applies_to("crates/core/src/asnode.rs"));
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! walker skips, so the deliberately-bad files never fail the workspace
 //! gate. Each fixture is linted under a *virtual* workspace path because
 //! every rule scopes itself by path (CT-1 → `crates/crypto/src/`,
-//! DET-1 → `crates/simnet/src/`, PANIC-1 → the hot-path allowlist).
+//! DET-1 → `crates/simnet/src/` and the two daemon cores, PANIC-1 → the
+//! hot-path allowlist).
 
 use apna_lint::check_sources;
 
@@ -69,6 +70,27 @@ fn det1_fires_on_wall_clock_and_hash_iteration() {
 fn det1_silent_on_ordered_twin() {
     assert_eq!(
         lint("crates/simnet/src/det1_good.rs", "det1_good.rs"),
+        vec![]
+    );
+}
+
+#[test]
+fn det1_fires_on_clock_socket_and_printing_in_a_core() {
+    // Line 4: `UdpSocket` import. Line 8: `UdpSocket` field. Line 14:
+    // `Instant::now`. Line 19: `eprintln!`.
+    for core in ["crates/core/src/deploy.rs", "crates/gateway/src/daemon.rs"] {
+        let got = lint(core, "det1_core_bad.rs");
+        assert_eq!(
+            got,
+            vec![("DET-1", 4), ("DET-1", 8), ("DET-1", 14), ("DET-1", 19)]
+        );
+    }
+}
+
+#[test]
+fn det1_silent_on_sans_io_core_twin() {
+    assert_eq!(
+        lint("crates/gateway/src/daemon.rs", "det1_core_good.rs"),
         vec![]
     );
 }

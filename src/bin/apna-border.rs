@@ -39,9 +39,10 @@
 //! and truncate the log every `snapshot_every` appends. The log stores
 //! raw host-AS key material — protect both files like the seed file.
 //!
-//! This binary is the I/O shell (config, sockets, the run loop, the
-//! shutdown drain, the stats JSON) around [`apna_core::deploy::BorderCore`],
-//! which runs each burst, MS/AA/DNS control dispatch included. Under
+//! This binary is config + a socket around
+//! [`apna_core::deploy::BorderCore`], which runs each burst, MS/AA/DNS
+//! control dispatch included, and [`serve`] runs the loop: each pass waits
+//! up to 20 ms on the socket, then takes a burst from it. Under
 //! `replay_mode = nonce` service replies are numbered from
 //! [`first_reply_nonce`], so hosts keep accepting them across a restart.
 //!
@@ -51,22 +52,20 @@
 //! on exit, polled or not.
 
 use apna::daemon::{
-    arm_control_plane, border_stats_json, build_as, ctrl_log_json, first_reply_nonce, load_config,
-    loop_settings, parse_wire_ipv4, run_main, snapshot_tick, DaemonClock, AS_KEYS,
+    arm_control_plane, build_as, first_reply_nonce, load_config, loop_settings, parse_wire_ipv4,
+    run_main, serve, AS_KEYS, SHELL_KEYS,
 };
-use apna_core::ctrl_log::ReplaySummary;
 use apna_core::deploy::BorderCore;
 use apna_core::host::Host;
 use apna_core::time::Timestamp;
-use apna_io::stats::{StatsCommand, StatsServer};
+use apna_io::stats::StatsServer;
 use apna_io::udp::{UdpBackend, UdpFraming};
-use apna_io::PacketIo;
 use apna_wire::EncapTunnel;
 use std::net::SocketAddr;
 use std::time::Duration;
 
-/// The config keys besides [`AS_KEYS`].
-const BORDER_KEYS: [&str; 13] = [
+/// The config keys besides [`AS_KEYS`] and [`SHELL_KEYS`].
+const BORDER_KEYS: [&str; 7] = [
     "listen",
     "gateway",
     "tunnel_local",
@@ -74,35 +73,16 @@ const BORDER_KEYS: [&str; 13] = [
     "stats_listen",
     "replay_filter",
     "shards",
-    "burst",
-    "run_secs",
-    "ctrl_log",
-    "snapshot_every",
-    "issuance_burst",
-    "issuance_per_sec",
 ];
 
 fn main() {
     std::process::exit(run_main("apna-border", run_daemon));
 }
 
-struct BorderDaemon<'a> {
-    core: BorderCore<'a>,
-    burst: usize,
-    io: UdpBackend,
-    stats: StatsServer,
-    clock: DaemonClock,
-    run_secs: Option<u32>,
-    snapshots: u64,
-    snapshot_errors: u64,
-    snapshot_every: u64,
-    replay: Option<ReplaySummary>,
-}
-
 fn run_daemon(config_path: &str) -> Result<String, String> {
     let cfg = load_config(config_path)?;
     let cerr = |e: apna_io::config::ConfigError| format!("{config_path}: {e}");
-    cfg.check_keys(&[&AS_KEYS[..], &BORDER_KEYS].concat())
+    cfg.check_keys(&[&AS_KEYS[..], &BORDER_KEYS, &SHELL_KEYS].concat())
         .map_err(cerr)?;
 
     let setup = build_as(&cfg, config_path)?;
@@ -137,7 +117,7 @@ fn run_daemon(config_path: &str) -> Result<String, String> {
             "{config_path}: shards must be 1..=64, got {shards}"
         ));
     }
-    let (burst, run_secs, snapshot_every) = loop_settings(&cfg, config_path)?;
+    let settings = loop_settings(&cfg, config_path)?;
     // After the deterministic mirror bootstraps above, as it requires.
     let replay = arm_control_plane(&cfg, config_path, &setup.node.infra)?;
 
@@ -146,97 +126,20 @@ fn run_daemon(config_path: &str) -> Result<String, String> {
         .map_err(|e| format!("APNA socket: {e}"))?;
     let stats = StatsServer::bind(stats_listen).map_err(|e| format!("stats endpoint: {e}"))?;
 
-    let mut daemon = BorderDaemon {
-        core: BorderCore::new(
-            &setup.node,
-            router,
-            setup.replay_mode,
-            shards,
-            first_reply_nonce(),
-        ),
-        burst,
-        io,
+    let mut core = BorderCore::new(
+        &setup.node,
+        router,
+        setup.replay_mode,
+        shards,
+        first_reply_nonce(),
+    );
+    serve(
+        "apna-border",
+        &mut core,
+        &mut [("APNA", io)],
+        Duration::from_millis(20),
         stats,
-        clock: DaemonClock::start(),
-        run_secs,
-        snapshots: 0,
-        snapshot_errors: 0,
-        snapshot_every,
+        settings,
         replay,
-    };
-    daemon.run_loop()?;
-    Ok(daemon.stats_json())
-}
-
-impl BorderDaemon<'_> {
-    fn run_loop(&mut self) -> Result<(), String> {
-        loop {
-            let snapshot = self.stats_json();
-            match self.stats.poll_once(&snapshot) {
-                Ok(Some(StatsCommand::Shutdown)) => break,
-                Ok(_) => {}
-                Err(e) => eprintln!("apna-border: stats endpoint: {e}"),
-            }
-            if let Some(limit) = self.run_secs {
-                if self.clock.uptime_secs() >= limit {
-                    break;
-                }
-            }
-            snapshot_tick(
-                "apna-border",
-                &self.core.node.infra,
-                self.snapshot_every,
-                &mut self.snapshots,
-                &mut self.snapshot_errors,
-            );
-            let ready = self
-                .io
-                .poll(Duration::from_millis(20))
-                .map_err(|e| format!("poll: {e}"))?;
-            if !ready {
-                continue;
-            }
-            let frames = self
-                .io
-                .recv_burst(self.burst)
-                .map_err(|e| format!("recv: {e}"))?;
-            self.handle_burst(frames)?;
-        }
-        self.drain()
-    }
-
-    /// Shutdown drain: process whatever is still queued on the socket so
-    /// in-flight packets are accounted before the final counter dump.
-    fn drain(&mut self) -> Result<(), String> {
-        for _ in 0..64 {
-            let frames = self
-                .io
-                .recv_burst(self.burst)
-                .map_err(|e| format!("drain recv: {e}"))?;
-            if frames.is_empty() {
-                return Ok(());
-            }
-            self.handle_burst(frames)?;
-        }
-        Ok(())
-    }
-
-    /// One received burst through the core; what it returns goes back to
-    /// the gateway.
-    fn handle_burst(&mut self, frames: Vec<Vec<u8>>) -> Result<(), String> {
-        let out = self.core.step(self.clock.now(), frames);
-        self.io.send_burst(&out).map_err(|e| format!("send: {e}"))?;
-        Ok(())
-    }
-
-    fn stats_json(&self) -> String {
-        let infra = &self.core.node.infra;
-        let ctrl_log = ctrl_log_json(infra, self.replay, self.snapshots, self.snapshot_errors);
-        border_stats_json(
-            &self.core,
-            self.clock.uptime_secs(),
-            &self.io.counters(),
-            ctrl_log,
-        )
-    }
+    )
 }

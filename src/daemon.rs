@@ -1,8 +1,12 @@
-//! Shared plumbing for the `apna-border` and `apna-gateway` daemons: the
-//! exit-code shell, config loading, deterministic AS construction from
-//! seed files, the run-loop and control-plane settings both daemons
-//! accept, the daemon clock and the border's reply-nonce seed, and
-//! hand-rolled JSON assembly for the stats endpoints.
+//! The shell both daemons share. `apna-border` and `apna-gateway` are each
+//! config + sockets + a core ([`DaemonCore`]: `BorderCore`, [`GatewayCore`]),
+//! and [`serve`] is the one run loop that drives either: the stats
+//! endpoint, the `run_secs` deadline, the wait, the burst pump over every
+//! socket, the core's tick, the `ctrl_log` snapshot cadence, the shutdown
+//! drain and the final stats JSON. Around it: the exit-code shell, config
+//! loading, deterministic AS construction from seed files, the run-loop
+//! and control-plane settings both daemons accept, the border's
+//! reply-nonce seed, and hand-rolled JSON assembly for the stats endpoints.
 //!
 //! Everything here returns `Result<_, String>` with operator-readable
 //! messages — the binaries print the error and exit non-zero; nothing on
@@ -16,39 +20,13 @@ use apna_core::directory::AsDirectory;
 use apna_core::granularity::Granularity;
 use apna_core::hostinfo::IssuancePolicy;
 use apna_core::time::Timestamp;
+use apna_gateway::daemon::{Port, TranslatorPair};
 use apna_io::config::Config;
-use apna_io::IoCounters;
+use apna_io::stats::{StatsCommand, StatsServer};
+use apna_io::udp::UdpBackend;
+use apna_io::{IoCounters, PacketIo};
 use apna_wire::{Aid, ReplayMode};
-use std::time::{Instant, SystemTime, UNIX_EPOCH};
-
-/// Wall-clock → protocol-time mapping: protocol timestamps are seconds
-/// since daemon start (both daemons bootstrap at [`Timestamp::EPOCH`], so
-/// mirrored constructions agree without clock sync).
-pub struct DaemonClock {
-    start: Instant,
-}
-
-impl DaemonClock {
-    /// Starts the clock at protocol time zero.
-    #[must_use]
-    pub fn start() -> DaemonClock {
-        DaemonClock {
-            start: Instant::now(),
-        }
-    }
-
-    /// Current protocol time.
-    #[must_use]
-    pub fn now(&self) -> Timestamp {
-        Timestamp::EPOCH.add_secs(self.uptime_secs())
-    }
-
-    /// Whole seconds since start.
-    #[must_use]
-    pub fn uptime_secs(&self) -> u32 {
-        u32::try_from(self.start.elapsed().as_secs()).unwrap_or(u32::MAX)
-    }
-}
+use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 /// The first reply nonce of each service endpoint of a starting border:
 /// wall-clock µs since the Unix epoch. Hosts' replay windows (§VIII-D)
@@ -99,6 +77,17 @@ pub fn read_seed_file(path: &str) -> Result<[u8; 32], String> {
 
 /// The config keys both daemons share for AS identity.
 pub const AS_KEYS: [&str; 5] = ["aid", "seed_file", "granularity", "replay_mode", "host"];
+
+/// The config keys both daemons share for their loop ([`loop_settings`])
+/// and control plane ([`arm_control_plane`]).
+pub const SHELL_KEYS: [&str; 6] = [
+    "burst",
+    "run_secs",
+    "ctrl_log",
+    "snapshot_every",
+    "issuance_burst",
+    "issuance_per_sec",
+];
 
 /// AS identity parsed from the shared config keys.
 pub struct AsSetup {
@@ -151,10 +140,21 @@ pub fn build_as(cfg: &Config, config_path: &str) -> Result<AsSetup, String> {
     })
 }
 
-/// The run-loop keys both daemons accept, in order: `burst` (max frames
-/// per burst, 1..=1024, default 32), `run_secs` (optional auto-shutdown
-/// deadline), `snapshot_every` (log appends between snapshots, default 1024).
-pub fn loop_settings(cfg: &Config, config_path: &str) -> Result<(usize, Option<u32>, u64), String> {
+/// The run-loop keys both daemons accept.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LoopSettings {
+    /// `burst`: max frames received per socket per pass (1..=1024,
+    /// default 32).
+    pub burst: usize,
+    /// `run_secs`: optional auto-shutdown deadline.
+    pub run_secs: Option<u32>,
+    /// `snapshot_every`: log appends between snapshots (at least 1,
+    /// default 1024).
+    pub snapshot_every: u64,
+}
+
+/// Parses the [`LoopSettings`] keys.
+pub fn loop_settings(cfg: &Config, config_path: &str) -> Result<LoopSettings, String> {
     let err = |e: apna_io::config::ConfigError| format!("{config_path}: {e}");
     let burst = cfg.parsed::<usize>("burst").map_err(err)?.unwrap_or(32);
     if !(1..=1024).contains(&burst) {
@@ -164,7 +164,15 @@ pub fn loop_settings(cfg: &Config, config_path: &str) -> Result<(usize, Option<u
     }
     let run_secs = cfg.parsed::<u32>("run_secs").map_err(err)?;
     let snapshot_every = cfg.parsed::<u64>("snapshot_every").map_err(err)?;
-    Ok((burst, run_secs, snapshot_every.unwrap_or(1024)))
+    // 0 would make every loop pass rewrite and sync the snapshot.
+    if snapshot_every == Some(0) {
+        return Err(format!("{config_path}: snapshot_every must be at least 1"));
+    }
+    Ok(LoopSettings {
+        burst,
+        run_secs,
+        snapshot_every: snapshot_every.unwrap_or(1024),
+    })
 }
 
 /// Attaches the durable control log (`ctrl_log`, optional) and arms the
@@ -203,19 +211,120 @@ pub fn arm_control_plane(
     Ok(replay)
 }
 
-/// One run-loop tick of the snapshot cadence, tallied into the daemon's
-/// `snapshots` / `snapshot_errors` counters; a no-op while the log is
-/// inactive or young. Call on the thread that mutates control state
-/// (`ctrl_log`'s module contract: the image is then a consistent cut).
-pub fn snapshot_tick(name: &str, infra: &AsInfra, every: u64, taken: &mut u64, failed: &mut u64) {
-    match ctrl_log::maybe_snapshot(infra, every) {
-        Ok(true) => *taken += 1,
-        Ok(false) => {}
-        Err(e) => {
-            *failed += 1;
-            eprintln!("{name}: snapshot: {e}");
+/// A daemon's burst logic with the sockets and the clock taken out: what
+/// [`serve`] drives. A `port` is an index into the sockets `serve` holds.
+pub trait DaemonCore {
+    /// Runs one burst received on `port` at `now`; returns the frames to
+    /// send on each port, by index, in sending order.
+    fn step(&mut self, now: Timestamp, port: usize, frames: Vec<Vec<u8>>) -> Vec<Vec<Vec<u8>>>;
+
+    /// Once-per-pass upkeep after the sockets are pumped.
+    fn tick(&mut self, _now: Timestamp) {}
+
+    /// The AS whose control log `serve` snapshots.
+    fn infra(&self) -> &AsInfra;
+
+    /// The daemon's stats JSON from the core's counters, the uptime, each
+    /// port's socket counters and the [`ctrl_log_json`] object. Key paths
+    /// and order are a contract: the loopback demo, the tests and the
+    /// benchmark harness read them.
+    fn stats_json(&self, uptime_secs: u32, io: &[IoCounters], ctrl_log: String) -> String;
+}
+
+/// The run loop of both daemons, driving `core` over `sockets` (each with
+/// a label for error messages) until a `shutdown` on `stats` or the
+/// `run_secs` deadline. Each pass answers a pending stats client, waits
+/// up to `wait` on the first socket whatever it reports, receives one
+/// burst from every socket in order and sends what the core returns,
+/// ticks the core, and takes a `ctrl_log` snapshot when one is due (on
+/// this thread, which mutates control state: `ctrl_log`'s module contract,
+/// so the image is a consistent cut). Then it drains the sockets until
+/// quiet, at most 64 passes, so in-flight packets are counted, and returns
+/// the final stats JSON.
+pub fn serve<C: DaemonCore>(
+    name: &str,
+    core: &mut C,
+    sockets: &mut [(&str, UdpBackend)],
+    wait: Duration,
+    mut stats: StatsServer,
+    settings: LoopSettings,
+    replay: Option<ReplaySummary>,
+) -> Result<String, String> {
+    let start = Instant::now();
+    let uptime_secs = || u32::try_from(start.elapsed().as_secs()).unwrap_or(u32::MAX);
+    // Protocol time is seconds since start: both daemons bootstrap at
+    // `Timestamp::EPOCH`, so mirrored constructions agree without clock sync.
+    let now = || Timestamp::EPOCH.add_secs(uptime_secs());
+    let (mut snapshots, mut snapshot_errors) = (0, 0);
+    let stats_json = |core: &C, sockets: &[(&str, UdpBackend)], snapshots, snapshot_errors| {
+        let io: Vec<IoCounters> = sockets.iter().map(|(_, s)| s.counters()).collect();
+        let ctrl_log = ctrl_log_json(core.infra(), replay, snapshots, snapshot_errors);
+        core.stats_json(uptime_secs(), &io, ctrl_log)
+    };
+    loop {
+        match stats.poll_once(&stats_json(core, sockets, snapshots, snapshot_errors)) {
+            Ok(Some(StatsCommand::Shutdown)) => break,
+            Ok(_) => {}
+            Err(e) => eprintln!("{name}: stats endpoint: {e}"),
+        }
+        if settings
+            .run_secs
+            .is_some_and(|limit| uptime_secs() >= limit)
+        {
+            break;
+        }
+        if let Some((_, socket)) = sockets.first_mut() {
+            socket.poll(wait).map_err(|e| format!("poll: {e}"))?;
+        }
+        pump(core, sockets, settings.burst, now())?;
+        core.tick(now());
+        match ctrl_log::maybe_snapshot(core.infra(), settings.snapshot_every) {
+            Ok(true) => snapshots += 1,
+            Ok(false) => {}
+            Err(e) => {
+                snapshot_errors += 1;
+                eprintln!("{name}: snapshot: {e}");
+            }
         }
     }
+    for _ in 0..64 {
+        if !pump(core, sockets, settings.burst, now())? {
+            break;
+        }
+    }
+    Ok(stats_json(core, sockets, snapshots, snapshot_errors))
+}
+
+/// Receives up to `burst` frames from each socket in order, each burst
+/// through the core at once and what it returns sent; returns whether
+/// anything arrived.
+fn pump(
+    core: &mut impl DaemonCore,
+    sockets: &mut [(&str, UdpBackend)],
+    burst: usize,
+    now: Timestamp,
+) -> Result<bool, String> {
+    let mut busy = false;
+    for port in 0..sockets.len() {
+        let Some((label, socket)) = sockets.get_mut(port) else {
+            break;
+        };
+        let frames = socket
+            .recv_burst(burst)
+            .map_err(|e| format!("{label} recv: {e}"))?;
+        if frames.is_empty() {
+            continue;
+        }
+        busy = true;
+        for ((label, socket), out) in sockets.iter_mut().zip(core.step(now, port, frames)) {
+            if !out.is_empty() {
+                socket
+                    .send_burst(&out)
+                    .map_err(|e| format!("{label} send: {e}"))?;
+            }
+        }
+    }
+    Ok(busy)
 }
 
 /// The `ctrl_log` object of both daemons' stats JSON. Keys and their order
@@ -248,45 +357,104 @@ pub fn ctrl_log_json(
     ])
 }
 
-/// The `apna-border` stats JSON; `delivered` is the socket's `tx_frames`
-/// (the border sends nothing else), `ctrl_log` [`ctrl_log_json`]'s object.
-/// Key paths and order are a contract: the loopback demo, the tests and
-/// the benchmark harness read them.
-#[must_use]
-pub fn border_stats_json(
-    core: &BorderCore<'_>,
-    uptime_secs: u32,
-    io: &IoCounters,
-    ctrl_log: String,
-) -> String {
-    let mut drop_fields = vec![("total", core.drops.total().to_string())];
-    for (reason, count) in core.drops.iter_nonzero() {
-        drop_fields.push((reason.name(), count.to_string()));
+/// `apna-border`'s core: one socket, toward the gateway.
+impl DaemonCore for BorderCore<'_> {
+    fn step(&mut self, now: Timestamp, _port: usize, frames: Vec<Vec<u8>>) -> Vec<Vec<Vec<u8>>> {
+        vec![BorderCore::step(self, now, frames)]
     }
-    let mut control_fields = vec![
-        ("total", core.control.total().to_string()),
-        ("rejected", core.control_rejected.to_string()),
-    ];
-    for (kind, count) in core.control.iter_nonzero() {
-        control_fields.push((kind.name(), count.to_string()));
+
+    fn infra(&self) -> &AsInfra {
+        &self.node.infra
     }
-    json_object(&[
-        ("daemon", json_string("apna-border")),
-        ("aid", core.node.aid().0.to_string()),
-        ("uptime_secs", uptime_secs.to_string()),
-        ("bursts", core.bursts.to_string()),
-        ("egress_passed", core.egress_passed.to_string()),
-        ("delivered", io.tx_frames.to_string()),
-        ("forwarded_foreign", core.forwarded_foreign.to_string()),
-        (
-            "replay_filter_entries",
-            core.router.replay_filter_entries().to_string(),
-        ),
-        ("io", io.to_json()),
-        ("drops", json_object(&drop_fields)),
-        ("control", json_object(&control_fields)),
-        ("ctrl_log", ctrl_log),
-    ])
+
+    /// `delivered` is the socket's `tx_frames`: the border sends nothing
+    /// else.
+    fn stats_json(&self, uptime_secs: u32, io: &[IoCounters], ctrl_log: String) -> String {
+        let io = io.first().copied().unwrap_or_default();
+        let mut drop_fields = vec![("total", self.drops.total().to_string())];
+        for (reason, count) in self.drops.iter_nonzero() {
+            drop_fields.push((reason.name(), count.to_string()));
+        }
+        let mut control_fields = vec![
+            ("total", self.control.total().to_string()),
+            ("rejected", self.control_rejected.to_string()),
+        ];
+        for (kind, count) in self.control.iter_nonzero() {
+            control_fields.push((kind.name(), count.to_string()));
+        }
+        json_object(&[
+            ("daemon", json_string("apna-border")),
+            ("aid", self.node.aid().0.to_string()),
+            ("uptime_secs", uptime_secs.to_string()),
+            ("bursts", self.bursts.to_string()),
+            ("egress_passed", self.egress_passed.to_string()),
+            ("delivered", io.tx_frames.to_string()),
+            ("forwarded_foreign", self.forwarded_foreign.to_string()),
+            (
+                "replay_filter_entries",
+                self.router.replay_filter_entries().to_string(),
+            ),
+            ("io", io.to_json()),
+            ("drops", json_object(&drop_fields)),
+            ("control", json_object(&control_fields)),
+            ("ctrl_log", ctrl_log),
+        ])
+    }
+}
+
+/// `apna-gateway`'s core: the translator pair over the node it was
+/// bootstrapped against, which is also its control plane. Its ports are
+/// [`Port`]'s: the APNA socket, then the legacy one.
+pub struct GatewayCore<'a> {
+    /// The client-side and server-side gateways.
+    pub pair: TranslatorPair,
+    /// The AS the pair belongs to.
+    pub node: &'a AsNode,
+}
+
+impl DaemonCore for GatewayCore<'_> {
+    fn step(&mut self, now: Timestamp, port: usize, frames: Vec<Vec<u8>>) -> Vec<Vec<Vec<u8>>> {
+        let port = if port == Port::Apna as usize {
+            Port::Apna
+        } else {
+            Port::Legacy
+        };
+        self.pair.step(now, self.node, port, frames).into()
+    }
+
+    fn tick(&mut self, now: Timestamp) {
+        self.pair.tick(now, self.node);
+    }
+
+    fn infra(&self) -> &AsInfra {
+        &self.node.infra
+    }
+
+    fn stats_json(&self, uptime_secs: u32, io: &[IoCounters], ctrl_log: String) -> String {
+        let pair = &self.pair;
+        let io = |port: Port| io.get(port as usize).copied().unwrap_or_default();
+        let mut control_fields = vec![("total", pair.control.total().to_string())];
+        for (kind, count) in pair.control.iter_nonzero() {
+            control_fields.push((kind.name(), count.to_string()));
+        }
+        json_object(&[
+            ("daemon", json_string("apna-gateway")),
+            ("aid", self.node.aid().0.to_string()),
+            ("uptime_secs", uptime_secs.to_string()),
+            ("flows", pair.flow_count().to_string()),
+            ("ephids", pair.ephid_count().to_string()),
+            ("synth_ip", json_string(&pair.synth_ip.to_string())),
+            ("rotated", pair.rotated.to_string()),
+            ("unroutable", pair.unroutable.to_string()),
+            ("legacy_parse_errors", pair.legacy_parse_errors.to_string()),
+            ("translate_errors", pair.translate_errors.to_string()),
+            ("refresh_errors", pair.refresh_errors.to_string()),
+            ("io_apna", io(Port::Apna).to_json()),
+            ("io_legacy", io(Port::Legacy).to_json()),
+            ("control", json_object(&control_fields)),
+            ("ctrl_log", ctrl_log),
+        ])
+    }
 }
 
 /// Parses a dotted-quad into the wire crate's IPv4 address type.
@@ -302,7 +470,7 @@ pub fn parse_wire_ipv4(s: &str) -> Result<apna_wire::ipv4::Ipv4Addr, String> {
 /// Renders `{"k": v, ...}` from pre-rendered value strings (numbers and
 /// nested objects go in verbatim; strings via [`json_string`]).
 #[must_use]
-pub fn json_object(fields: &[(&str, String)]) -> String {
+fn json_object(fields: &[(&str, String)]) -> String {
     let body: Vec<String> = fields
         .iter()
         .map(|(k, v)| format!("\"{k}\": {v}"))
@@ -313,7 +481,7 @@ pub fn json_object(fields: &[(&str, String)]) -> String {
 /// Renders a JSON string literal (escaping quotes and backslashes; the
 /// daemons never emit control characters).
 #[must_use]
-pub fn json_string(s: &str) -> String {
+fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {
@@ -355,6 +523,25 @@ mod tests {
         assert_eq!(setup.node.aid(), Aid(12));
         assert_eq!(setup.replay_mode, ReplayMode::NonceExtension);
         assert_eq!(setup.host_seeds, vec![7, 8]);
+    }
+
+    #[test]
+    fn loop_settings_range_checks() {
+        let parse = |text: &str| loop_settings(&Config::parse(text).unwrap(), "l.conf");
+        assert_eq!(
+            parse("run_secs = 5\n").unwrap(),
+            LoopSettings {
+                burst: 32,
+                run_secs: Some(5),
+                snapshot_every: 1024,
+            }
+        );
+        assert_eq!(
+            parse("snapshot_every = 0\n").unwrap_err(),
+            "l.conf: snapshot_every must be at least 1"
+        );
+        assert!(parse("burst = 0\n").unwrap_err().contains("burst must be"));
+        assert_eq!(parse("snapshot_every = 1\n").unwrap().snapshot_every, 1);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! rendered from it keeps every key path the loopback demo and the
 //! benchmark harness read.
 
-use apna::daemon::{border_stats_json, ctrl_log_json};
+use apna::daemon::{ctrl_log_json, DaemonCore};
 use apna_bench::BenchWorld;
 use apna_core::agent::EphIdUsage;
 use apna_core::deploy::BorderCore;
@@ -47,7 +47,7 @@ fn stats(core: &BorderCore<'_>, sent: usize) -> String {
         io.record_tx(64);
     }
     let ctrl_log = ctrl_log_json(&core.node.infra, None, 0, 0);
-    border_stats_json(core, 7, &io, ctrl_log)
+    core.stats_json(7, &[io], ctrl_log)
 }
 
 /// Sharding must be invisible in the result: the same frames back out in
