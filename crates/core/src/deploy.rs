@@ -1,7 +1,7 @@
 //! Deployment helpers for the long-lived daemons (`apna-border`,
 //! `apna-gateway`): key-material files, config-value parsing, and
-//! [`BorderCore`], the border daemon's burst logic with no socket and no
-//! clock.
+//! [`BorderCore`], one AS's border with no socket and no clock, which
+//! `apna-border` and every AS of the simulator run.
 //!
 //! Both daemons build their [`crate::AsNode`] deterministically from a
 //! 32-byte seed file ([`parse_seed_file`] / [`encode_seed_file`]), so two
@@ -10,9 +10,9 @@
 //! bootstrap protocol on the wire — EphID validation is cryptographic,
 //! not stateful, so that is all the agreement they need.
 
-use crate::asnode::AsNode;
+use crate::asnode::{AsNode, ServedControl};
 use crate::border::{BorderRouter, Direction, DropCounters, Verdict};
-use crate::control::ControlCounters;
+use crate::control::{ControlCounters, ControlPlane};
 use crate::granularity::Granularity;
 use crate::hid::Hid;
 use crate::time::Timestamp;
@@ -116,25 +116,25 @@ pub fn parse_replay_mode(s: &str) -> Result<ReplayMode, String> {
     }
 }
 
-/// The border router of a single-AS deployment (Fig. 4, §IV-D3) with the
-/// I/O taken out: no socket, no clock. `apna-border` is the shell that
-/// feeds it bursts. It borrows its node, so one [`AsNode`] can back a core
-/// and a gateway's `TranslatorPair` in a single process.
-pub struct BorderCore<'a> {
+/// The border router of one AS (Fig. 4, §IV-D3) with the I/O taken out:
+/// no socket, no clock. It owns its node. `apna-border` feeds it bursts
+/// through [`BorderCore::step`]; the simulator runs one per AS through the
+/// halves `step` composes, carrying frames over its own links in between.
+pub struct BorderCore {
     /// The AS this border serves.
-    pub node: &'a AsNode,
+    pub node: AsNode,
     /// The router it runs: a clone of `node.br`, filters as configured.
     pub router: BorderRouter,
     mode: ReplayMode,
     shards: usize,
     first_reply_nonce: u64,
     reply_nonces: HashMap<Hid, u64>,
-    /// Bursts processed, re-injected reply bursts included.
+    /// Bursts `step` processed, re-injected reply bursts included.
     pub bursts: u64,
-    /// Frames that passed egress toward this AS.
+    /// Frames that passed `step`'s egress toward this AS.
     pub egress_passed: u64,
-    /// Frames that passed egress toward another AS: counted, not sent
-    /// (this deployment has no inter-AS peer).
+    /// Frames that passed `step`'s egress toward another AS: counted, not
+    /// sent (the daemon has no inter-AS peer).
     pub forwarded_foreign: u64,
     /// Egress and ingress drops by reason.
     pub drops: DropCounters,
@@ -144,18 +144,26 @@ pub struct BorderCore<'a> {
     pub control_rejected: u64,
 }
 
-impl<'a> BorderCore<'a> {
+/// What [`BorderCore::ingress`] made of one burst.
+pub struct Ingress<T> {
+    /// Each tag and verdict in burst order, with the frame unless in `services`.
+    pub frames: Vec<(T, Verdict, Option<Vec<u8>>)>,
+    /// Frames for the AS's service endpoints, per endpoint in HID order.
+    pub services: BTreeMap<Hid, Vec<(T, Vec<u8>)>>,
+}
+
+impl BorderCore {
     /// A core running `router` over `node`, each direction split across
     /// `shards` worker threads; every service endpoint numbers its reply
     /// nonces from `first_reply_nonce`.
     #[must_use]
     pub fn new(
-        node: &'a AsNode,
+        node: AsNode,
         router: BorderRouter,
         mode: ReplayMode,
         shards: usize,
         first_reply_nonce: u64,
-    ) -> BorderCore<'a> {
+    ) -> BorderCore {
         BorderCore {
             node,
             router,
@@ -174,9 +182,9 @@ impl<'a> BorderCore<'a> {
 
     /// Runs one burst received at `now`: egress over all of it, survivors
     /// addressed to this AS through ingress, deliveries to a service
-    /// endpoint served per endpoint in HID order by
-    /// [`AsNode::serve_control_burst`] and the replies run as a burst of
-    /// their own. Returns every other delivery, in sending order.
+    /// endpoint served per endpoint in HID order by [`BorderCore::serve`]
+    /// and the replies run as a burst of their own. Returns every other
+    /// delivery, in sending order.
     pub fn step(&mut self, now: Timestamp, frames: Vec<Vec<u8>>) -> Vec<Vec<u8>> {
         let mut out = Vec::new();
         self.burst(now, frames, &mut out);
@@ -188,44 +196,74 @@ impl<'a> BorderCore<'a> {
             return;
         }
         self.bursts += 1;
+        let aid = self.node.aid();
         let mut local = Vec::new();
-        for (frame, verdict) in self.direction(Direction::Egress, frames, now) {
+        for (frame, verdict) in self.egress(now, frames) {
             match verdict {
-                Verdict::ForwardInter { dst_aid } if dst_aid == self.node.aid() => {
-                    local.push(frame)
-                }
+                Verdict::ForwardInter { dst_aid } if dst_aid == aid => local.push(((), frame)),
                 Verdict::ForwardInter { .. } => self.forwarded_foreign += 1,
                 Verdict::DeliverLocal { .. } | Verdict::Drop(_) => {}
             }
         }
         self.egress_passed += local.len() as u64;
 
-        let mut ctrl_groups: BTreeMap<Hid, Vec<Vec<u8>>> = BTreeMap::new();
-        for (frame, verdict) in self.direction(Direction::Ingress, local, now) {
-            match verdict {
-                Verdict::DeliverLocal { hid } if self.node.service_by_hid(hid).is_some() => {
-                    ctrl_groups.entry(hid).or_default().push(frame);
-                }
-                Verdict::DeliverLocal { .. } => out.push(frame),
-                Verdict::ForwardInter { .. } | Verdict::Drop(_) => {}
+        let ingress = self.ingress(now, local);
+        for (_, verdict, frame) in ingress.frames {
+            if let (Verdict::DeliverLocal { .. }, Some(frame)) = (verdict, frame) {
+                out.push(frame);
             }
         }
-        for (hid, packets) in ctrl_groups {
-            let nonce = self
-                .reply_nonces
-                .entry(hid)
-                .or_insert(self.first_reply_nonce);
-            let node = self.node;
-            let served = node.serve_control_burst(hid, &packets, node, self.mode, nonce, now);
-            self.control_rejected += served.rejected;
-            for kind in served.requests.into_iter().flatten() {
-                self.control.record(kind);
-            }
-            for kind in served.reply_kinds {
-                self.control.record(kind);
-            }
+        for (hid, group) in ingress.services {
+            let frames: Vec<Vec<u8>> = group.into_iter().map(|(_, frame)| frame).collect();
+            let served = self.serve(now, hid, &frames, None);
             self.burst(now, served.replies, out);
         }
+    }
+
+    /// Egress (Fig. 4, bottom) over one burst: frames with verdicts, in order.
+    pub fn egress(&mut self, now: Timestamp, frames: Vec<Vec<u8>>) -> Vec<(Vec<u8>, Verdict)> {
+        self.direction(Direction::Egress, frames, now)
+    }
+
+    /// Ingress (Fig. 4, top) over one burst of tagged frames; deliveries to
+    /// a service endpoint are set aside for [`BorderCore::serve`].
+    pub fn ingress<T: Copy>(&mut self, now: Timestamp, tagged: Vec<(T, Vec<u8>)>) -> Ingress<T> {
+        let (tags, input): (Vec<T>, Vec<Vec<u8>>) = tagged.into_iter().unzip();
+        let mut frames = Vec::new();
+        let mut services: BTreeMap<Hid, Vec<(T, Vec<u8>)>> = BTreeMap::new();
+        let paired = self.direction(Direction::Ingress, input, now);
+        for (tag, (frame, verdict)) in tags.into_iter().zip(paired) {
+            match verdict {
+                Verdict::DeliverLocal { hid } if self.node.service_by_hid(hid).is_some() => {
+                    services.entry(hid).or_default().push((tag, frame));
+                    frames.push((tag, verdict, None));
+                }
+                _ => frames.push((tag, verdict, Some(frame))),
+            }
+        }
+        Ingress { frames, services }
+    }
+
+    /// Serves `frames` at service endpoint `hid` ([`AsNode::serve_control_burst`]),
+    /// with `zone`, if any, answering at the DNS endpoint. Tallies requests,
+    /// replies and refusals; reply nonces count on per endpoint.
+    pub fn serve(
+        &mut self,
+        now: Timestamp,
+        hid: Hid,
+        frames: &[Vec<u8>],
+        zone: Option<&dyn ControlPlane>,
+    ) -> ServedControl {
+        let (node, first) = (&self.node, self.first_reply_nonce);
+        let at_dns = hid == node.dns_endpoint.hid;
+        let cp = zone.filter(|_| at_dns).unwrap_or(node);
+        let nonce = self.reply_nonces.entry(hid).or_insert(first);
+        let served = node.serve_control_burst(hid, frames, cp, self.mode, nonce, now);
+        self.control_rejected += served.rejected;
+        for &kind in served.requests.iter().flatten().chain(&served.reply_kinds) {
+            self.control.record(kind);
+        }
+        served
     }
 
     /// `frames` through one direction, split across the shards (each worker
@@ -238,32 +276,28 @@ impl<'a> BorderCore<'a> {
         now: Timestamp,
     ) -> Vec<(Vec<u8>, Verdict)> {
         let (router, mode, shards) = (&self.router, self.mode, self.shards);
-        if frames.is_empty() {
-            return Vec::new();
-        }
-        if shards <= 1 || frames.len() == 1 {
-            let (paired, drops) = run_chunk(router, direction, frames, mode, now);
-            self.drops.merge(&drops);
-            return paired;
-        }
-        let chunk_size = frames.len().div_ceil(shards);
-        let mut rest = frames.into_iter();
+        let chunks = if shards <= 1 || frames.len() <= 1 {
+            vec![run_chunk(router, direction, frames, mode, now)]
+        } else {
+            let chunk_size = frames.len().div_ceil(shards);
+            let mut rest = frames.into_iter();
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..shards)
+                    .map(|_| rest.by_ref().take(chunk_size).collect::<Vec<_>>())
+                    .filter(|chunk| !chunk.is_empty())
+                    .map(|chunk| {
+                        let worker = router.clone();
+                        scope.spawn(move || run_chunk(&worker, direction, chunk, mode, now))
+                    })
+                    .collect();
+                handles.into_iter().filter_map(|h| h.join().ok()).collect()
+            })
+        };
         let mut paired = Vec::new();
-        let drops = &mut self.drops;
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..shards)
-                .map(|_| rest.by_ref().take(chunk_size).collect::<Vec<_>>())
-                .filter(|chunk| !chunk.is_empty())
-                .map(|chunk| {
-                    let worker = router.clone();
-                    scope.spawn(move || run_chunk(&worker, direction, chunk, mode, now))
-                })
-                .collect();
-            for (p, d) in handles.into_iter().filter_map(|h| h.join().ok()) {
-                paired.extend(p);
-                drops.merge(&d);
-            }
-        });
+        for (p, d) in chunks {
+            paired.extend(p);
+            self.drops.merge(&d);
+        }
         paired
     }
 }

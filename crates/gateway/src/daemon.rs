@@ -390,14 +390,16 @@ mod tests {
         let node = AsNode::from_seed(Aid(5), [5u8; 32], &dir, now);
         let cfg = PairConfig::new(101, 202);
         let mut pair = TranslatorPair::bootstrap(&node, &node, &dir, &cfg, now).unwrap();
-        // The border borrows the same node the pair bootstrapped against.
-        let mut border = BorderCore::new(&node, node.br.clone(), cfg.replay_mode, 1, 0);
+        // The border owns the node the pair bootstrapped against; the pair
+        // reaches it through the border.
+        let router = node.br.clone();
+        let mut border = BorderCore::new(node, router, cfg.replay_mode, 1, 0);
 
         let client_ip = Ipv4Addr::new(192, 168, 1, 23);
         let request = LegacyPacket::udp(client_ip, 53123, pair.synth_ip, 7777, b"daemon ping");
 
         // Client gateway → border (strip GRE like the Tunnel backend).
-        let out = pair.handle_legacy(&request, &node, now).unwrap();
+        let out = pair.handle_legacy(&request, &border.node, now).unwrap();
         assert_eq!(out.frames.len(), 1);
         let apna: Vec<Vec<u8>> = out
             .frames
@@ -412,7 +414,7 @@ mod tests {
         let mut legacy_out = Vec::new();
         let mut return_frames = Vec::new();
         for f in re_encap(&cfg, &delivered) {
-            let o = pair.handle_apna(&f, &node, now).unwrap();
+            let o = pair.handle_apna(&f, &border.node, now).unwrap();
             legacy_out.extend(o.legacy);
             return_frames.extend(o.frames);
         }
@@ -428,12 +430,12 @@ mod tests {
         let back = border.step(now, apna_back);
         assert_eq!(back.len(), 1);
         for f in re_encap(&cfg, &back) {
-            pair.handle_apna(&f, &node, now).unwrap();
+            pair.handle_apna(&f, &border.node, now).unwrap();
         }
 
         // Server responds; the response crosses and reaches the client.
         let response = LegacyPacket::udp(pair.synth_ip, 7777, client_ip, 53123, b"daemon pong");
-        let resp_out = pair.handle_legacy(&response, &node, now).unwrap();
+        let resp_out = pair.handle_legacy(&response, &border.node, now).unwrap();
         let resp_apna: Vec<Vec<u8>> = resp_out
             .frames
             .iter()
@@ -443,7 +445,7 @@ mod tests {
         assert_eq!(resp_delivered.len(), 1);
         let mut final_legacy = Vec::new();
         for f in re_encap(&cfg, &resp_delivered) {
-            let o = pair.handle_apna(&f, &node, now).unwrap();
+            let o = pair.handle_apna(&f, &border.node, now).unwrap();
             final_legacy.extend(o.legacy);
         }
         assert_eq!(final_legacy.len(), 1);
@@ -483,7 +485,8 @@ mod tests {
             .iter()
             .map(|f| gre::decapsulate(f).unwrap().1.to_vec())
             .collect();
-        let mut border = BorderCore::new(&node_br, node_br.br.clone(), cfg.replay_mode, 1, 0);
+        let router = node_br.br.clone();
+        let mut border = BorderCore::new(node_br, router, cfg.replay_mode, 1, 0);
         let delivered = border.step(now, apna);
         assert_eq!(delivered.len(), 1, "mirrored border rejected the frame");
     }

@@ -4,11 +4,13 @@
 //! in CI — dies the moment a verdict, tally, or log line depends on
 //! wall-clock time, ambient randomness, or `HashMap`/`HashSet` iteration
 //! order (the default hasher is RandomState: per-process order). The
-//! daemon cores (`BorderCore` in `crates/core/src/deploy.rs`,
-//! `TranslatorPair` in `crates/gateway/src/daemon.rs`) hold the same
-//! contract so tests and the simulator can drive them: time arrives as
-//! `now`, frames arrive and leave as values, and the shell owns the
-//! sockets and the terminal. This rule flags:
+//! daemon cores (`BorderCore` in `crates/core/src/deploy.rs`, with the
+//! MS/AA/DNS dispatch it calls, `AsNode::serve_control_burst` in
+//! `crates/core/src/asnode.rs`, and `TranslatorPair` in
+//! `crates/gateway/src/daemon.rs`) hold the same contract, since both the
+//! daemons and the simulator run them: time arrives as `now`, frames
+//! arrive and leave as values, and the shell owns the sockets and the
+//! terminal. This rule flags:
 //!
 //! 1. `Instant::now` / `SystemTime::now` / `thread_rng` / `rand::random`
 //!    anywhere in scope,
@@ -31,8 +33,13 @@ use std::collections::BTreeSet;
 /// See module docs.
 pub struct Det1;
 
-/// The files besides `crates/simnet/src/` in scope: the daemon cores.
-const CORE_FILES: [&str; 2] = ["crates/core/src/deploy.rs", "crates/gateway/src/daemon.rs"];
+/// The files besides `crates/simnet/src/` in scope: the daemon cores and
+/// the service dispatch the border core shares with the simulator.
+const CORE_FILES: [&str; 3] = [
+    "crates/core/src/deploy.rs",
+    "crates/core/src/asnode.rs",
+    "crates/gateway/src/daemon.rs",
+];
 
 /// Socket types and printing macros: I/O that belongs to a daemon's
 /// shell, not to a deterministic core.
@@ -340,15 +347,16 @@ mod tests {
     #[test]
     fn flags_sockets_and_printing_in_a_core() {
         let src = "fn f(s: &UdpSocket) {\n    println!(\"x\");\n    let println = 1;\n}\n";
-        for path in ["crates/gateway/src/daemon.rs", "crates/core/src/deploy.rs"] {
+        for path in CORE_FILES {
             let f = SourceFile::parse(path, src);
             let mut out = Vec::new();
             Det1.check(&f, &mut out);
             assert_eq!(out.iter().map(|f| f.line).collect::<Vec<_>>(), [1, 2]);
         }
-        assert!(Det1.applies_to("crates/core/src/deploy.rs"));
+        assert!(CORE_FILES.iter().all(|path| Det1.applies_to(path)));
+        assert!(Det1.applies_to("crates/core/src/asnode.rs"));
         assert!(!Det1.applies_to("src/daemon.rs"));
-        assert!(!Det1.applies_to("crates/core/src/asnode.rs"));
+        assert!(!Det1.applies_to("crates/core/src/border.rs"));
     }
 
     #[test]

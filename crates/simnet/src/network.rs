@@ -7,10 +7,12 @@
 //!        [destination BR ingress, Fig. 4 top] → host inbox
 //! ```
 //!
-//! Every packet gets a [`PacketFate`], so tests can assert not just *that*
-//! something was dropped but *where* and *why*. An optional wiretap records
-//! every frame crossing inter-AS links — the §II-B adversary's view — which
-//! the privacy tests and the surveillance example analyze.
+//! Each AS is a [`BorderCore`], as in `apna-border`; the network schedules
+//! around it. Every packet gets a [`PacketFate`], so tests can assert not
+//! just *that* something was dropped but *where* and *why*. An optional
+//! wiretap records every frame crossing inter-AS links — the §II-B
+//! adversary's view — which the privacy tests and the surveillance example
+//! analyze.
 
 use crate::adversary::{Adversary, AdversaryAction, AdversaryStats, FrameKind, InterceptedFrame};
 use crate::clock::SimTime;
@@ -18,14 +20,15 @@ use crate::event::EventQueue;
 use crate::link::{Link, LinkOutcome};
 use crate::topology::Topology;
 use apna_core::agent::{EphIdUsage, HostAgent};
-use apna_core::border::{Direction, DropCounters, DropReason, Verdict};
+use apna_core::border::{DropCounters, DropReason, Verdict};
 use apna_core::control::{ControlCounters, ControlKind, ControlMsg, ControlPlane, ShutoffAck};
+use apna_core::deploy::BorderCore;
 use apna_core::directory::AsDirectory;
 use apna_core::granularity::SlotDecision;
 use apna_core::{AsNode, Error, Hid};
 use apna_dns::DnsServer;
 use apna_wire::ipv4::Ipv4Addr;
-use apna_wire::{Aid, ApnaHeader, EphIdBytes, HostAddr, PacketBatch, ReplayMode};
+use apna_wire::{Aid, ApnaHeader, EphIdBytes, HostAddr, ReplayMode};
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 
 /// What finally happened to an injected packet.
@@ -352,7 +355,8 @@ pub struct Network {
     /// Shared RPKI stand-in; `AsNode`s publish their keys here.
     pub directory: AsDirectory,
     topology: Topology,
-    nodes: HashMap<Aid, AsNode>,
+    /// One border per AS, owning its node: one shard, reply nonces from 0.
+    cores: HashMap<Aid, BorderCore>,
     /// Ordered so whole-map sweeps (`set_link_queueing`) visit links in a
     /// deterministic order (DET-1); per-hop forwarding is keyed lookup.
     links: BTreeMap<(Aid, Aid), Link>,
@@ -378,9 +382,6 @@ pub struct Network {
     /// Whether control deliveries are appended to `control_log`. Scale
     /// runs disable it: the log is an unbounded per-RPC allocation.
     control_log_enabled: bool,
-    /// Per-service nonce counters for control replies under
-    /// [`ReplayMode::NonceExtension`].
-    service_nonces: HashMap<(Aid, Hid), u64>,
     adversary: Option<Box<dyn Adversary>>,
     /// XORed into every link's fault seed (set it before
     /// [`Network::connect`]): distinct salts give one topology independent
@@ -404,7 +405,7 @@ impl Network {
         Network {
             directory: AsDirectory::new(),
             topology: Topology::new(),
-            nodes: HashMap::new(),
+            cores: HashMap::new(),
             links: BTreeMap::new(),
             now: SimTime::ZERO,
             replay_mode,
@@ -419,7 +420,6 @@ impl Network {
             dns_servers: HashMap::new(),
             control_log: Vec::new(),
             control_log_enabled: true,
-            service_nonces: HashMap::new(),
             adversary: None,
             link_seed_salt: 0,
             stats: NetStats::default(),
@@ -479,9 +479,11 @@ impl Network {
     /// Adds an AS with deterministic keys derived from `seed`.
     pub fn add_as(&mut self, aid: Aid, seed: [u8; 32]) -> &AsNode {
         let node = AsNode::from_seed(aid, seed, &self.directory, self.now.as_protocol_time());
+        let router = node.br.clone();
         self.topology.add_as(aid);
-        self.nodes.insert(aid, node);
-        &self.nodes[&aid]
+        self.cores
+            .insert(aid, BorderCore::new(node, router, self.replay_mode, 1, 0));
+        self.node(aid)
     }
 
     /// Connects two ASes with symmetric `link_template` parameters; each
@@ -519,14 +521,14 @@ impl Network {
     /// Immutable access to an AS.
     #[must_use]
     pub fn node(&self, aid: Aid) -> &AsNode {
-        &self.nodes[&aid]
+        &self.cores[&aid].node
     }
 
     /// Immutable access to an AS, `None` for unknown AIDs (e.g. an AID
     /// field garbled in transit).
     #[must_use]
     pub fn try_node(&self, aid: Aid) -> Option<&AsNode> {
-        self.nodes.get(&aid)
+        self.cores.get(&aid).map(|core| &core.node)
     }
 
     /// Current simulated time.
@@ -549,44 +551,38 @@ impl Network {
     }
 
     /// A host (or several hosts sharing an uplink) in `src_aid` injects a
-    /// burst of packets. The whole burst runs through the source BR's
-    /// batched egress pipeline (`process_batch`), so header parsing and
-    /// replay-shard locking are amortized exactly as on a real line-rate
-    /// box. Returns one packet id per packet, in order.
+    /// burst of packets. The whole burst runs through the source AS's
+    /// [`BorderCore::egress`], so header parsing and replay-shard locking
+    /// are amortized exactly as on a real line-rate box. Returns one packet
+    /// id per packet, in order; from an AS not in the network every packet
+    /// meets [`PacketFate::NoRoute`] there.
     pub fn send_batch(&mut self, src_aid: Aid, packets: Vec<Vec<u8>>) -> Vec<u64> {
-        let ids: Vec<u64> = packets
-            .iter()
-            .map(|_| {
-                let id = self.next_packet_id;
-                self.next_packet_id += 1;
-                self.stats.injected += 1;
-                self.fates.insert(id, PacketFate::InFlight);
-                if let Some(cap) = self.fate_capacity {
-                    self.fate_order.push_back(id);
-                    while self.fate_order.len() > cap {
-                        let old = self.fate_order.pop_front().expect("non-empty order queue");
-                        self.fates.remove(&old);
-                    }
+        let ids: Vec<u64> = (self.next_packet_id..).take(packets.len()).collect();
+        self.next_packet_id += ids.len() as u64;
+        self.stats.injected += ids.len() as u64;
+        for &id in &ids {
+            self.fates.insert(id, PacketFate::InFlight);
+            if let Some(cap) = self.fate_capacity {
+                self.fate_order.push_back(id);
+                while self.fate_order.len() > cap {
+                    let old = self.fate_order.pop_front().expect("non-empty order queue");
+                    self.fates.remove(&old);
                 }
-                id
-            })
-            .collect();
+            }
+        }
 
-        let node = &self.nodes[&src_aid];
-        let mut batch = PacketBatch::from_packets(self.replay_mode, packets);
-        let result =
-            node.br
-                .process_batch(Direction::Egress, &mut batch, self.now.as_protocol_time());
-        // The total is derived from the breakdown at one site, so the two
-        // can never desynchronize.
-        self.stats.egress_drop_reasons.merge(result.counters());
-        self.stats.egress_dropped += result.counters().total();
-        let verdicts = result.into_verdicts();
-        let packets = batch.into_packets();
-
-        for ((&id, verdict), bytes) in ids.iter().zip(verdicts).zip(packets) {
+        let now = self.now.as_protocol_time();
+        let Some(paired) = self.cores.get_mut(&src_aid).map(|c| c.egress(now, packets)) else {
+            for &id in &ids {
+                self.record_fate(id, PacketFate::NoRoute { at: src_aid });
+            }
+            return ids;
+        };
+        for (&id, (bytes, verdict)) in ids.iter().zip(paired) {
             match verdict {
                 Verdict::Drop(reason) => {
+                    self.stats.egress_drop_reasons.record(reason);
+                    self.stats.egress_dropped += 1;
                     self.fates.insert(id, PacketFate::EgressDropped(reason));
                 }
                 Verdict::ForwardInter { dst_aid } if dst_aid == src_aid => {
@@ -602,10 +598,8 @@ impl Network {
                 Verdict::ForwardInter { dst_aid } => {
                     self.forward_toward(id, src_aid, dst_aid, bytes);
                 }
-                Verdict::DeliverLocal { .. } => {
-                    // Egress never yields DeliverLocal.
-                    unreachable!("egress produced DeliverLocal");
-                }
+                // Egress never delivers.
+                Verdict::DeliverLocal { .. } => {}
             }
         }
         ids
@@ -791,55 +785,28 @@ impl Network {
             // unchanged — the queue is time-ordered and a burst is by
             // definition simultaneous.
             let aid = ev.aid;
-            let mut ids = vec![ev.packet_id];
-            let mut burst = vec![ev.bytes];
+            let mut burst = vec![(ev.packet_id, ev.bytes)];
             while let Some((next_at, next)) = self.events.peek() {
                 if next_at != at || next.aid != aid {
                     break;
                 }
                 let (_, next) = self.events.pop().expect("peeked event exists");
-                ids.push(next.packet_id);
-                burst.push(next.bytes);
+                burst.push((next.packet_id, next.bytes));
             }
             self.stats.ingress_batches += 1;
-            self.stats.max_ingress_batch = self.stats.max_ingress_batch.max(ids.len() as u64);
+            self.stats.max_ingress_batch = self.stats.max_ingress_batch.max(burst.len() as u64);
 
-            let node = &self.nodes[&aid];
-            let mut batch = PacketBatch::from_packets(self.replay_mode, burst);
-            let result =
-                node.br
-                    .process_batch(Direction::Ingress, &mut batch, self.now.as_protocol_time());
-            self.stats.ingress_drop_reasons.merge(result.counters());
-            self.stats.ingress_dropped += result.counters().total();
-            let verdicts = result.into_verdicts();
-            let packets = batch.into_packets();
-
-            // Service-bound packets in the burst are deferred and handed to
-            // each endpoint as ONE batched control dispatch (ordered by HID
-            // for determinism) — the pipelined issuance path. Replies are
-            // scheduled events, so deferring within the simultaneous burst
-            // changes no ordering.
-            let mut ctrl_groups: BTreeMap<Hid, Vec<(u64, Vec<u8>)>> = BTreeMap::new();
-            for ((id, verdict), bytes) in ids.into_iter().zip(verdicts).zip(packets) {
-                match verdict {
+            let Some(core) = self.cores.get_mut(&aid) else {
+                continue;
+            };
+            let ingress = core.ingress(self.now.as_protocol_time(), burst);
+            let arrival = self.now.add_micros(self.intra_as_latency_us);
+            for (id, verdict, bytes) in ingress.frames {
+                let fate = match verdict {
                     Verdict::DeliverLocal { hid } => {
-                        let arrival = self.now.add_micros(self.intra_as_latency_us);
                         self.stats.delivered += 1;
-                        let fate = PacketFate::Delivered {
-                            aid,
-                            hid,
-                            at: arrival,
-                        };
-                        self.record_fate(id, fate.clone());
-                        if collect {
-                            out.push(NetworkEvent::Fate { id, fate });
-                        }
-                        let is_service = self.nodes[&aid].service_by_hid(hid).is_some();
-                        if is_service {
-                            // Control traffic: the service consumes the
-                            // packet and may answer with its own packet.
-                            ctrl_groups.entry(hid).or_default().push((id, bytes));
-                        } else {
+                        // A service's packet waits in `ingress.services`.
+                        if let Some(bytes) = bytes {
                             self.inboxes.push(DeliveredPacket {
                                 id,
                                 aid,
@@ -848,28 +815,39 @@ impl Network {
                                 at: arrival,
                             });
                         }
-                    }
-                    Verdict::ForwardInter { dst_aid } => {
-                        self.forward_toward(id, aid, dst_aid, bytes);
-                    }
-                    Verdict::Drop(reason) => {
-                        let fate = PacketFate::IngressDropped { at: aid, reason };
-                        self.record_fate(id, fate.clone());
-                        if collect {
-                            out.push(NetworkEvent::Fate { id, fate });
+                        PacketFate::Delivered {
+                            aid,
+                            hid,
+                            at: arrival,
                         }
                     }
+                    Verdict::ForwardInter { dst_aid } => {
+                        self.forward_toward(id, aid, dst_aid, bytes.unwrap_or_default());
+                        continue;
+                    }
+                    Verdict::Drop(reason) => {
+                        self.stats.ingress_drop_reasons.record(reason);
+                        self.stats.ingress_dropped += 1;
+                        PacketFate::IngressDropped { at: aid, reason }
+                    }
+                };
+                self.record_fate(id, fate.clone());
+                if collect {
+                    out.push(NetworkEvent::Fate { id, fate });
                 }
             }
-            for (hid, items) in ctrl_groups {
+            // Each endpoint gets its packets as ONE batched control dispatch,
+            // in HID order; replies are scheduled events, so deferring them
+            // within the simultaneous burst changes no ordering.
+            for (hid, items) in ingress.services {
                 self.deliver_control_batch(out, collect, aid, hid, items);
             }
         }
     }
 
     /// Serves a burst delivered to ONE AS service endpoint through
-    /// [`AsNode::serve_control_burst`] (the DNS endpoint by the attached
-    /// zone, if any), records it, and injects the replies as one burst.
+    /// [`BorderCore::serve`] (the DNS endpoint by the attached zone, if
+    /// any), records it, and injects the replies as one burst.
     fn deliver_control_batch(
         &mut self,
         out: &mut Vec<NetworkEvent>,
@@ -880,14 +858,11 @@ impl Network {
     ) {
         let at = self.now.add_micros(self.intra_as_latency_us);
         let (ids, packets): (Vec<u64>, Vec<Vec<u8>>) = items.into_iter().unzip();
-        let node = &self.nodes[&aid];
-        let cp: &dyn ControlPlane = match self.dns_servers.get(&aid) {
-            Some(zone) if hid == node.dns_endpoint.hid => zone,
-            _ => node,
+        let zone = self.dns_servers.get(&aid).map(|z| z as &dyn ControlPlane);
+        let Some(core) = self.cores.get_mut(&aid) else {
+            return;
         };
-        let next_nonce = self.service_nonces.entry((aid, hid)).or_insert(0);
-        let now = self.now.as_protocol_time();
-        let served = node.serve_control_burst(hid, &packets, cp, self.replay_mode, next_nonce, now);
+        let served = core.serve(self.now.as_protocol_time(), hid, &packets, zone);
 
         self.stats.control_rejected += served.rejected;
         for (id, kind) in ids.into_iter().zip(served.requests) {
@@ -908,12 +883,10 @@ impl Network {
         for kind in served.reply_kinds {
             self.stats.control_replies.record(kind);
         }
-        if !served.replies.is_empty() {
-            // The replies are ordinary accountable traffic: they re-enter
-            // the network at the service's AS as one burst and run the full
-            // egress → (links) → ingress pipeline.
-            self.send_batch(aid, served.replies);
-        }
+        // The replies are ordinary accountable traffic: they re-enter the
+        // network at the service's AS as one burst and run the full
+        // egress → (links) → ingress pipeline.
+        self.send_batch(aid, served.replies);
     }
 
     /// The fate of packet `id`.
@@ -1018,27 +991,21 @@ impl Network {
             // returned typed (the service answered every attempt — that is
             // pushback, not loss) so callers surface `MsDrop::RateLimited`.
             let elapsed = self.now.micros().saturating_sub(start.micros());
-            if attempt >= policy.max_attempts || elapsed >= policy.deadline_us {
-                return match busy {
-                    Some(reply) => Ok(reply),
-                    None => {
-                        self.stats.control_rpc_failures += 1;
-                        Err(Error::ControlTimeout { attempts: attempt })
-                    }
-                };
-            }
+            let spent = attempt >= policy.max_attempts || elapsed >= policy.deadline_us;
             let wait = policy
                 .backoff_for(attempt, jitter_base.wrapping_add(attempt.into()))
                 .max(wait_floor_us);
             let resume = self.now.add_micros(wait);
-            if resume >= deadline {
-                // Deadline-clamped backoff (bugfix): this wait reaches past
-                // the deadline, so the RPC ends *at* the deadline instant.
-                // It used to sleep the whole backoff and then burn one more
-                // send after its time budget had already expired, making
-                // deadline expiry observable up to a full capped backoff
-                // late.
-                self.advance_to(deadline.max(self.now));
+            if spent || resume >= deadline {
+                if !spent {
+                    // Deadline-clamped backoff (bugfix): this wait reaches
+                    // past the deadline, so the RPC ends *at* the deadline
+                    // instant. It used to sleep the whole backoff and then
+                    // burn one more send after its time budget had already
+                    // expired, making deadline expiry observable up to a
+                    // full capped backoff late.
+                    self.advance_to(deadline.max(self.now));
+                }
                 return match busy {
                     Some(reply) => Ok(reply),
                     None => {
@@ -1176,15 +1143,10 @@ impl Network {
         self.run();
 
         // Drain and parse every reply addressed to our control EphID.
-        let mut arrived = Vec::new();
-        let mut i = 0;
-        while i < self.inboxes.len() {
-            if Self::matches_control_reply(&self.inboxes[i].bytes, mode, ctrl, dst) {
-                arrived.push(self.inboxes.remove(i));
-            } else {
-                i += 1;
-            }
-        }
+        let (arrived, rest): (Vec<_>, Vec<_>) = std::mem::take(&mut self.inboxes)
+            .into_iter()
+            .partition(|d| Self::matches_control_reply(&d.bytes, mode, ctrl, dst));
+        self.inboxes = rest;
         let mut matched: Vec<([u8; 12], ControlMsg)> = Vec::new();
         for delivered in arrived {
             // A failed receive is a duplicated copy the host's replay
@@ -1344,7 +1306,10 @@ impl Network {
         name: &str,
         msg: &ControlMsg,
     ) -> Result<(), Error> {
-        let dst = HostAddr::new(zone_aid, self.nodes[&zone_aid].dns_endpoint.ephid);
+        let zone = self
+            .try_node(zone_aid)
+            .ok_or(Error::ControlRejected("no such zone AS"))?;
+        let dst = HostAddr::new(zone_aid, zone.dns_endpoint.ephid);
         match self.control_rpc(agent, dst, msg)? {
             ControlMsg::DnsAck { name: acked } if acked == name => Ok(()),
             ControlMsg::DnsAck { .. }
@@ -2092,5 +2057,35 @@ mod tests {
         let id = net.send(Aid(1), wire);
         net.run();
         assert_eq!(net.fate(id), Some(&PacketFate::NoRoute { at: Aid(1) }));
+    }
+
+    #[test]
+    fn unknown_source_as_is_no_route() {
+        let mut net = Network::new(ReplayMode::Disabled);
+        net.add_as(Aid(1), [1; 32]);
+        let ids = net.send_batch(Aid(7), vec![vec![0u8; 64], vec![1u8; 3]]);
+        net.run();
+        for id in ids {
+            assert_eq!(net.fate(id), Some(&PacketFate::NoRoute { at: Aid(7) }));
+        }
+        assert_eq!(net.stats.injected, 2);
+        assert_eq!(net.stats.egress_dropped, 0);
+    }
+
+    #[test]
+    fn dns_rpc_to_unknown_zone_is_rejected() {
+        let (mut net, mut alice, _bob) = two_as_network();
+        let ri = net
+            .agent_acquire(&mut alice, EphIdUsage::RECEIVE_ONLY)
+            .unwrap();
+        let rejected = Err(Error::ControlRejected("no such zone AS"));
+        assert_eq!(
+            net.agent_dns_register(&mut alice, Aid(9), "svc.example", ri, None),
+            rejected
+        );
+        assert_eq!(
+            net.agent_dns_update(&mut alice, Aid(9), "svc.example", ri, ri, None),
+            rejected
+        );
     }
 }

@@ -127,7 +127,7 @@ fn run_daemon(config_path: &str) -> Result<String, String> {
     let stats = StatsServer::bind(stats_listen).map_err(|e| format!("stats endpoint: {e}"))?;
 
     let mut core = BorderCore::new(
-        &setup.node,
+        setup.node,
         router,
         setup.replay_mode,
         shards,

@@ -358,7 +358,7 @@ pub fn ctrl_log_json(
 }
 
 /// `apna-border`'s core: one socket, toward the gateway.
-impl DaemonCore for BorderCore<'_> {
+impl DaemonCore for BorderCore {
     fn step(&mut self, now: Timestamp, _port: usize, frames: Vec<Vec<u8>>) -> Vec<Vec<Vec<u8>>> {
         vec![BorderCore::step(self, now, frames)]
     }

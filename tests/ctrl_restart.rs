@@ -325,10 +325,7 @@ fn border_node(log: &std::path::Path, mode: ReplayMode) -> (AsNode, ctrl_log::Re
 /// One EphID issuance from `host` through `core`, as packets: the request
 /// goes in as a burst, the reply comes back out and the host must accept
 /// it. Returns the new EphID's index.
-fn issue_through(
-    core: &mut BorderCore<'_>,
-    host: &mut HostAgent,
-) -> Result<usize, apna_core::Error> {
+fn issue_through(core: &mut BorderCore, host: &mut HostAgent) -> Result<usize, apna_core::Error> {
     let ms = HostAddr::new(core.node.aid(), host.ms_cert.ephid);
     let (pending, msg) = host.begin_acquire(EphIdUsage::DATA_LONG);
     let request = host.build_control_packet(ms, &msg);
@@ -351,11 +348,11 @@ fn border_core_restart_serves_precrash_ephid_without_iv_reuse() {
         HostAgent::attach(&mirror, Granularity::PerFlow, mode, Timestamp(0), HOST_SEED).unwrap();
 
     let (node, _) = border_node(&log, mode);
-    let mut core = BorderCore::new(&node, node.br.clone(), mode, 2, 0);
+    let router = node.br.clone();
+    let mut core = BorderCore::new(node, router, mode, 2, 0);
     let pre = issue_through(&mut core, &mut host).expect("issuance completes");
-    let issued_before_crash = node.infra.iv_alloc.issued();
+    let issued_before_crash = core.node.infra.iv_alloc.issued();
     drop(core);
-    drop(node);
 
     let (node, replayed) = border_node(&log, mode);
     assert!(replayed.records >= 1, "restart must replay the log");
@@ -364,8 +361,9 @@ fn border_core_restart_serves_precrash_ephid_without_iv_reuse() {
         "watermark {} must cover every pre-crash IV ({issued_before_crash})",
         replayed.watermark
     );
-    let mut core = BorderCore::new(&node, node.br.clone(), mode, 2, 0);
     let own = HostAddr::new(node.aid(), host.control_ephid().0);
+    let router = node.br.clone();
+    let mut core = BorderCore::new(node, router, mode, 2, 0);
     let data = host.build_raw_packet(pre, own, b"pre-crash ephid still serves");
     assert_eq!(core.step(Timestamp(0), vec![data.clone()]), vec![data]);
 
@@ -391,19 +389,21 @@ fn border_core_restart_in_nonce_mode_keeps_replies_fresh() {
         HostAgent::attach(&mirror, Granularity::PerFlow, mode, Timestamp(0), HOST_SEED).unwrap();
 
     let (node, _) = border_node(&log, mode);
-    let mut core = BorderCore::new(&node, node.br.clone(), mode, 1, first_reply_nonce());
+    let router = node.br.clone();
+    let mut core = BorderCore::new(node, router, mode, 1, first_reply_nonce());
     issue_through(&mut core, &mut host).expect("issuance completes");
     drop(core);
-    drop(node);
 
     let (node, _) = border_node(&log, mode);
     // Counting from 0 again, as the daemon used to: the reply is refused.
-    let mut from_zero = BorderCore::new(&node, node.br.clone(), mode, 1, 0);
+    let router = node.br.clone();
+    let mut from_zero = BorderCore::new(node, router, mode, 1, 0);
     assert!(matches!(
         issue_through(&mut from_zero, &mut host),
         Err(apna_core::Error::Replay)
     ));
-    let mut core = BorderCore::new(&node, node.br.clone(), mode, 1, first_reply_nonce());
+    let router = from_zero.node.br.clone();
+    let mut core = BorderCore::new(from_zero.node, router, mode, 1, first_reply_nonce());
     issue_through(&mut core, &mut host).expect("reply after the restart is accepted");
     let _ = std::fs::remove_dir_all(log.parent().unwrap());
 }

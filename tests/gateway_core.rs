@@ -1,5 +1,5 @@
 //! `GatewayCore`, the gateway daemon's burst logic with the sockets taken
-//! out: a scripted run through it, with a `BorderCore` on the same node
+//! out: a scripted run through it, with a `BorderCore` on a mirrored node
 //! standing in for the border daemon, renders the daemon's stats JSON with
 //! every key path, in order, that the loopback demo and the benchmark
 //! harness read.
@@ -8,6 +8,7 @@ use apna::daemon::{ctrl_log_json, DaemonCore, GatewayCore};
 use apna_core::asnode::AsNode;
 use apna_core::deploy::BorderCore;
 use apna_core::directory::AsDirectory;
+use apna_core::host::Host;
 use apna_core::time::Timestamp;
 use apna_gateway::daemon::{PairConfig, Port, TranslatorPair};
 use apna_gateway::legacy::LegacyPacket;
@@ -39,7 +40,7 @@ impl Shell<'_> {
 /// GRE frames from the gateway through the border's egress and ingress,
 /// and the deliveries back, GRE-wrapped as the border's tunnel sends them.
 fn through_border(
-    border: &mut BorderCore<'_>,
+    border: &mut BorderCore,
     cfg: &PairConfig,
     now: Timestamp,
     frames: &[Vec<u8>],
@@ -67,7 +68,14 @@ fn gateway_stats_json_keeps_its_keys_order_and_counts() {
     let node = AsNode::from_seed(Aid(6), [6u8; 32], &dir, now);
     let cfg = PairConfig::new(101, 202);
     let pair = TranslatorPair::bootstrap(&node, &node, &dir, &cfg, now).unwrap();
-    let mut border = BorderCore::new(&node, node.br.clone(), cfg.replay_mode, 1, 0);
+    // The border owns its node, so it runs on a mirror, as the two daemons
+    // do: the same seed and the pair's host bootstraps.
+    let node_br = AsNode::from_seed(Aid(6), [6u8; 32], &AsDirectory::new(), now);
+    for host_seed in TranslatorPair::host_seeds(&cfg) {
+        Host::attach(&node_br, cfg.replay_mode, now, host_seed).unwrap();
+    }
+    let router = node_br.br.clone();
+    let mut border = BorderCore::new(node_br, router, cfg.replay_mode, 1, 0);
     let mut shell = Shell {
         core: GatewayCore { pair, node: &node },
         io: [IoCounters::default(); 2],
