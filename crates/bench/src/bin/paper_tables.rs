@@ -16,7 +16,7 @@ use apna_core::granularity::Granularity;
 use apna_core::revocation::RevocationList;
 use apna_core::session::HandshakeMode;
 use apna_core::Timestamp;
-use apna_simnet::linerate::LineRateModel;
+use apna_simnet::linerate::{LineRateModel, PerPacketCurve};
 use apna_trace::{SyntheticTrace, TraceConfig};
 use apna_wire::{ApnaHeader, EphIdBytes, HostAddr};
 use std::time::Instant;
@@ -116,14 +116,14 @@ fn e2_e3_fig8() {
         let speedups: Vec<String> = LineRateModel::FIG8_SIZES
             .iter()
             .filter_map(|&size| {
-                let x = auto.batched_curve.speedup_over(&soft.batched_curve, size)?;
+                let x = auto.speedup_over(&soft, size)?;
                 Some(format!("{size} B {x:.1}x"))
             })
             .collect();
         println!(
             "{} vs {} (batch-64): {}",
-            auto.batched_curve.backend,
-            soft.batched_curve.backend,
+            auto.backend,
+            soft.backend,
             speedups.join(", ")
         );
     }
@@ -134,25 +134,16 @@ fn e2_e3_fig8() {
     );
 }
 
-fn print_fig8_table(f: &apna_bench::Fig8Reproduction) {
-    println!("crypto backend: {}", f.backend);
-    println!("packet  | scalar     | batch-64   | model Mpps       | paper-HW model (Fig. 8)");
-    println!("size B  | ns/pkt     | ns/pkt     | scalar   batched | Mpps     Gbps  limited");
-    for (i, &size) in LineRateModel::FIG8_SIZES.iter().enumerate() {
-        let (_, secs) = f.per_packet_secs[i];
-        let batched_secs = f
-            .batched_curve
-            .secs_at(size)
-            .expect("curve covers Fig. 8 sizes");
-        let sw = f.software[i];
-        let swb = f.software_batched[i];
-        let hw = f.hardware[i];
+fn print_fig8_table(curve: &PerPacketCurve) {
+    let hardware = LineRateModel::paper_testbed(HW_PER_PACKET_SECS).fig8_series();
+    println!("crypto backend: {}", curve.backend);
+    println!("packet  | batch-64   | model   | paper-HW model (Fig. 8)");
+    println!("size B  | ns/pkt     | Mpps    | Mpps     Gbps  limited");
+    for ((&(size, secs), sw), hw) in curve.points.iter().zip(curve.modeled()).zip(hardware) {
         println!(
-            "{size:7} | {:9.1}  | {:9.1}  | {:7.2} {:7.2}  | {:7.2} {:7.1}  {}",
+            "{size:7} | {:9.1}  | {:7.2} | {:7.2} {:7.1}  {}",
             secs * 1e9,
-            batched_secs * 1e9,
             sw.mpps,
-            swb.mpps,
             hw.mpps,
             hw.gbps,
             if hw.line_limited { "line" } else { "cpu " },

@@ -21,8 +21,8 @@ use apna_core::granularity::Granularity;
 use apna_core::keys::{EphIdKeyPair, HostAsKey};
 use apna_core::time::{ExpiryClass, Timestamp};
 use apna_core::Hid;
-use apna_simnet::linerate::{LineRateModel, PerPacketCurve, ThroughputPoint};
-use apna_wire::{Aid, ApnaHeader, EphIdBytes, HostAddr, PacketBatch, ReplayMode};
+use apna_simnet::linerate::{LineRateModel, PerPacketCurve};
+use apna_wire::{Aid, EphIdBytes, HostAddr, PacketBatch, ReplayMode};
 use std::time::Instant;
 
 /// A ready-made single-AS world with one registered host and one issued
@@ -73,15 +73,9 @@ impl BenchWorld {
     }
 
     /// Builds a burst of `n` valid outgoing packets of `total_size` bytes
-    /// each via the host's burst builder (header setup amortized, no
-    /// per-packet address re-lookup), ready for the batched pipeline.
+    /// each, ready for the batched pipeline.
     pub fn burst_of(&mut self, n: usize, total_size: usize) -> Vec<Vec<u8>> {
-        let payloads = vec![vec![0xAB; payload_len(total_size)]; n];
-        self.host.build_raw_packet_burst(
-            self.ephid_idx,
-            HostAddr::new(Aid(2), EphIdBytes([0x77; 16])),
-            &payloads,
-        )
+        (0..n).map(|_| self.packet_of_size(total_size)).collect()
     }
 
     /// Builds a valid outgoing packet of exactly `total_size` bytes
@@ -180,27 +174,8 @@ fn time_ns<F: FnMut()>(iters: u64, mut f: F) -> f64 {
 /// DPDK burst size).
 pub const FIG8_BATCH: usize = 64;
 
-/// Fig. 8's scalar point: seconds per packet of the per-packet reference
-/// path (parse + `process_outgoing_parsed`) on a `size`-byte packet. NOT
-/// the raw `process_outgoing` wrapper: that copies the packet into a
-/// batch of one, which would charge batch bookkeeping to the scalar
-/// baseline and overstate the batching win.
-fn measure_scalar_pipeline(size: usize) -> f64 {
-    let mut world = BenchWorld::new();
-    let wire = world.packet_of_size(size);
-    let node = &world.node;
-    time_ns(2_000, || {
-        let (header, payload) = ApnaHeader::parse(&wire, ReplayMode::Disabled).unwrap();
-        std::hint::black_box(
-            node.br
-                .process_outgoing_parsed(&header, payload, Timestamp(1)),
-        );
-    }) * 1e-9
-}
-
-/// Fig. 8's batched point: seconds per packet of
-/// `BorderRouter::process_batch` over a `batch_size` burst, including the
-/// per-burst parse stage.
+/// Fig. 8's point: seconds per packet of `BorderRouter::process_batch`
+/// over a `batch_size` burst, including the per-burst parse stage.
 fn measure_batched_pipeline(size: usize, batch_size: usize) -> f64 {
     let mut world = BenchWorld::new();
     let packets = world.burst_of(batch_size, size);
@@ -217,61 +192,24 @@ fn measure_batched_pipeline(size: usize, batch_size: usize) -> f64 {
     LineRateModel::per_packet_from_batch(secs_per_batch, batch_size)
 }
 
-/// E2/E3: measured per-packet egress cost per Fig. 8 packet size, plus the
-/// modeled throughput points for (a) this machine's software pipeline,
-/// (b) the same pipeline fed [`FIG8_BATCH`]-packet bursts, and (c) the
-/// paper's hardware budget.
-pub struct Fig8Reproduction {
-    /// The crypto backend the measurements ran on.
-    pub backend: &'static str,
-    /// Measured per-packet processing seconds per size (scalar path).
-    pub per_packet_secs: Vec<(usize, f64)>,
-    /// The batched per-packet curve ([`FIG8_BATCH`]-sized bursts),
-    /// labeled with its backend so two reproductions can be set against
-    /// each other (`PerPacketCurve::speedup_over`).
-    pub batched_curve: PerPacketCurve,
-    /// Modeled curve using our measured costs (software BR, scalar).
-    pub software: Vec<ThroughputPoint>,
-    /// Modeled curve using the batched measurements
-    /// (`batched_curve.modeled()`).
-    pub software_batched: Vec<ThroughputPoint>,
-    /// The paper's hardware-budget curve (AES-NI-class per-packet cost).
-    pub hardware: Vec<ThroughputPoint>,
-}
-
 /// The per-packet cost representing the paper's AES-NI + DPDK pipeline
 /// (chosen so the modeled curve matches Fig. 8's "theoretical maximum at
 /// every size", see `apna_simnet::linerate` tests).
 pub const HW_PER_PACKET_SECS: f64 = 120e-9;
 
-/// Runs the Fig. 8 reproduction on the crypto backend new ciphers select
-/// right now (`aes-ni`, or `soft-bitsliced` under `APNA_SOFT_AES=1`).
-pub fn reproduce_fig8() -> Fig8Reproduction {
-    let backend = apna_crypto::aes::active_backend();
-    let per_packet_secs: Vec<(usize, f64)> = LineRateModel::FIG8_SIZES
-        .iter()
-        .map(|&size| (size, measure_scalar_pipeline(size)))
-        .collect();
-    let software = per_packet_secs
-        .iter()
-        .map(|&(size, secs)| LineRateModel::paper_testbed(secs).throughput(size))
-        .collect();
-    let batched_curve = PerPacketCurve::new(
-        backend,
+/// E2/E3: the measured per-packet egress cost of `process_batch` over
+/// [`FIG8_BATCH`]-packet bursts at every Fig. 8 packet size, labeled with
+/// the crypto backend new ciphers select right now (`aes-ni`, or
+/// `soft-bitsliced` under `APNA_SOFT_AES=1`). `PerPacketCurve::modeled`
+/// turns it into the Fig. 8 throughput curve this machine supports.
+pub fn reproduce_fig8() -> PerPacketCurve {
+    PerPacketCurve::new(
+        apna_crypto::aes::active_backend(),
         LineRateModel::FIG8_SIZES
             .iter()
             .map(|&size| (size, measure_batched_pipeline(size, FIG8_BATCH)))
             .collect(),
-    );
-    let software_batched = batched_curve.modeled();
-    Fig8Reproduction {
-        backend,
-        per_packet_secs,
-        batched_curve,
-        software,
-        software_batched,
-        hardware: LineRateModel::paper_testbed(HW_PER_PACKET_SECS).fig8_series(),
-    }
+    )
 }
 
 /// E9: replay `flows` flows under each granularity policy; returns
@@ -346,19 +284,11 @@ mod tests {
     }
 
     #[test]
-    fn scalar_pipeline_measurement_sane() {
-        let small = measure_scalar_pipeline(128);
-        assert!(small > 0.0);
-        // The packet CMAC covers the payload: 12× the bytes cannot be free.
-        assert!(measure_scalar_pipeline(1518) > small);
-    }
-
-    #[test]
     fn batched_pipeline_measurement_sane() {
         let per_pkt = measure_batched_pipeline(256, 8);
         assert!(per_pkt > 0.0);
-        // A batch of one is the scalar pipeline plus batch bookkeeping —
-        // it must still measure a plausible per-packet cost.
+        // A batch of one is what the per-packet wrappers run; it must
+        // still measure a plausible per-packet cost.
         let single = measure_batched_pipeline(256, 1);
         assert!(single > 0.0);
     }

@@ -12,8 +12,9 @@
 //!
 //! The extra work over plain IP forwarding is "one decryption, two table
 //! lookups, and one MAC verification" (§V-B2) — all symmetric-crypto
-//! (design choice 3, §IV). Experiment E7 benchmarks exactly these stages;
-//! E2/E3 (Fig. 8) build the throughput model on top of this pipeline.
+//! (design choice 3, §IV). The harness's `core.border.*` per-layer metrics
+//! time exactly these stages; E2/E3 (Fig. 8) build the throughput model
+//! on top of this pipeline.
 //!
 //! Drops are modeled as [`Verdict`]s, not errors: a dropped packet is an
 //! expected dataplane outcome the caller may want to count or answer with
@@ -27,7 +28,7 @@ use crate::shutoff::RevocationOrder;
 use crate::time::Timestamp;
 use crate::Error;
 use apna_crypto::aes::Aes128;
-use apna_wire::{Aid, ApnaHeader, EphIdBytes, PacketBatch, ReplayMode};
+use apna_wire::{Aid, EphIdBytes, PacketBatch, ReplayMode};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -364,17 +365,10 @@ impl BorderRouter {
     }
 
     // ------------------------------------------------------------------
-    // Pipeline stages. Each stage is a small pure-ish function over one
-    // parsed packet; the scalar `process_*_parsed` entry points compose
-    // them with early returns, while `process_batch` sweeps each stage
-    // across a whole burst (and batches the replay-shard locking).
+    // Per-packet pipeline stages. The stages that run a burst-wide
+    // primitive (EphID open, host MAC, replay filter) are inline in
+    // `batch_egress`/`batch_ingress`.
     // ------------------------------------------------------------------
-
-    /// Stage 2 (egress: source EphID; ingress: destination EphID):
-    /// `(HID, expTime) = D_kAS(EphID)` with CBC-MAC authentication.
-    fn stage_open_ephid(&self, ephid: &EphIdBytes) -> Result<EphIdPlain, DropReason> {
-        ephid::open_with(&self.enc, &self.mac, ephid).map_err(|_| DropReason::BadEphId)
-    }
 
     /// Stage 3: expiry check then revocation-list lookup (Fig. 4's
     /// `expTime < currTime` and `EphID ∈ revoked_EphIDs` tests).
@@ -393,23 +387,6 @@ impl BorderRouter {
         Ok(())
     }
 
-    /// Stage 4 (egress only): host lookup + packet MAC verify under the
-    /// host's `k_HA` — the per-packet MAC of §V-B2.
-    fn stage_host_mac(
-        &self,
-        header: &ApnaHeader,
-        payload: &[u8],
-        plain: &EphIdPlain,
-    ) -> Result<(), DropReason> {
-        let Some(cmac) = self.infra.host_db.cmac_of_valid(plain.hid) else {
-            return Err(DropReason::UnknownHost);
-        };
-        if !cmac.verify(&header.mac_input(payload), &header.mac) {
-            return Err(DropReason::BadPacketMac);
-        }
-        Ok(())
-    }
-
     /// Stage 4' (ingress only): the destination HID must be registered
     /// and unrevoked for intra-domain delivery.
     fn stage_host_valid(&self, plain: &EphIdPlain) -> Result<(), DropReason> {
@@ -420,95 +397,38 @@ impl BorderRouter {
     }
 
     // ------------------------------------------------------------------
-    // Scalar API (wrappers and the per-packet reference pipeline).
+    // Per-packet wrappers: a batch of one through `process_batch`.
     // ------------------------------------------------------------------
 
     /// Egress pipeline (Fig. 4 bottom) over raw packet bytes.
-    ///
-    /// A thin wrapper over [`BorderRouter::process_batch`] with a batch of
-    /// one, so the scalar and batched paths can never diverge.
     #[must_use]
     pub fn process_outgoing(&self, wire: &[u8], mode: ReplayMode, now: Timestamp) -> Verdict {
-        let mut batch = PacketBatch::of_one(mode, wire.to_vec());
-        self.process_batch(Direction::Egress, &mut batch, now)
-            .verdicts()
-            .first()
-            .copied()
-            .unwrap_or(Verdict::Drop(DropReason::Malformed))
+        self.process_one(Direction::Egress, wire, mode, now)
     }
 
-    /// Ingress pipeline (Fig. 4 top) over raw packet bytes; same batch-of
-    /// -one wrapper as [`BorderRouter::process_outgoing`].
+    /// Ingress pipeline (Fig. 4 top) over raw packet bytes.
     #[must_use]
     pub fn process_incoming(&self, wire: &[u8], mode: ReplayMode, now: Timestamp) -> Verdict {
+        self.process_one(Direction::Ingress, wire, mode, now)
+    }
+
+    fn process_one(
+        &self,
+        direction: Direction,
+        wire: &[u8],
+        mode: ReplayMode,
+        now: Timestamp,
+    ) -> Verdict {
         let mut batch = PacketBatch::of_one(mode, wire.to_vec());
-        self.process_batch(Direction::Ingress, &mut batch, now)
+        self.process_batch(direction, &mut batch, now)
             .verdicts()
             .first()
             .copied()
             .unwrap_or(Verdict::Drop(DropReason::Malformed))
-    }
-
-    /// Egress pipeline over an already-parsed header: the per-packet
-    /// composition of the stages (no batch bookkeeping, no allocation).
-    /// This is the hot path for callers that keep packets parsed, and the
-    /// scalar reference the batch/scalar equivalence proptest checks
-    /// `process_batch` against.
-    #[must_use]
-    pub fn process_outgoing_parsed(
-        &self,
-        header: &ApnaHeader,
-        payload: &[u8],
-        now: Timestamp,
-    ) -> Verdict {
-        let plain = match self.stage_open_ephid(&header.src.ephid) {
-            Ok(p) => p,
-            Err(r) => return Verdict::Drop(r),
-        };
-        if let Err(r) = self.stage_validity(&header.src.ephid, &plain, now) {
-            return Verdict::Drop(r);
-        }
-        if let Err(r) = self.stage_host_mac(header, payload, &plain) {
-            return Verdict::Drop(r);
-        }
-        // §VIII-D extension: in-network replay filtering near the source.
-        // Runs only after MAC verification, so an adversary cannot poison
-        // a victim's window with forged nonces.
-        if let (Some(filter), Some(nonce)) = (&self.replay_filter, header.nonce) {
-            if !filter.check_and_update(&header.src.ephid, nonce) {
-                return Verdict::Drop(DropReason::Replayed);
-            }
-        }
-        Verdict::ForwardInter {
-            dst_aid: header.dst.aid,
-        }
-    }
-
-    /// Ingress pipeline over an already-parsed header (per-packet stage
-    /// composition, like [`BorderRouter::process_outgoing_parsed`]).
-    #[must_use]
-    pub fn process_incoming_parsed(&self, header: &ApnaHeader, now: Timestamp) -> Verdict {
-        if header.dst.aid != self.infra.aid {
-            // Transit: "simply forward packets to the next AS on the path".
-            return Verdict::ForwardInter {
-                dst_aid: header.dst.aid,
-            };
-        }
-        let plain = match self.stage_open_ephid(&header.dst.ephid) {
-            Ok(p) => p,
-            Err(r) => return Verdict::Drop(r),
-        };
-        if let Err(r) = self.stage_validity(&header.dst.ephid, &plain, now) {
-            return Verdict::Drop(r);
-        }
-        if let Err(r) = self.stage_host_valid(&plain) {
-            return Verdict::Drop(r);
-        }
-        Verdict::DeliverLocal { hid: plain.hid }
     }
 
     // ------------------------------------------------------------------
-    // Batched API.
+    // Batched API: the one Fig. 4 pipeline.
     // ------------------------------------------------------------------
 
     /// Runs a whole burst through the Fig. 4 pipeline, stage by stage:
@@ -516,11 +436,12 @@ impl BorderRouter {
     /// auth/decrypt → expiry/revocation → host-MAC verify (egress) or
     /// host validity (ingress) → replay filter (egress, shard-batched).
     ///
-    /// Verdict order matches batch order, and every verdict is identical
-    /// to what the scalar pipeline would produce for the same packet
-    /// sequence — the batch form only restructures the control flow so
-    /// that each stage's state (AES schedules, table shards, replay-shard
-    /// locks) stays hot across the burst.
+    /// Verdict order matches batch order, and every verdict is the one
+    /// Fig. 4 prescribes for that packet processed alone, in sequence —
+    /// `tests/batch_scalar_equivalence.rs` checks this against a
+    /// per-packet model that shares none of these stages. Running the
+    /// stages burst-wide keeps each one's state (AES schedules, table
+    /// shards, replay-shard locks) hot across the burst.
     #[must_use]
     pub fn process_batch(
         &self,
@@ -602,9 +523,10 @@ impl BorderRouter {
             }
         }
 
-        // Stage 5: replay filter — group the burst's survivors by shard
-        // and take each shard lock once (the scalar path locks per
-        // packet; this is the batching win under contention).
+        // Stage 5: replay filter — runs only after MAC verification, so a
+        // forger cannot poison a victim's window (§VIII-D extension). The
+        // burst's survivors are grouped by shard, so each shard lock is
+        // taken once per burst rather than once per packet.
         if let Some(filter) = &self.replay_filter {
             let candidates: Vec<(usize, EphIdBytes, u64)> = batch
                 .parsed()
@@ -708,7 +630,7 @@ mod tests {
     use crate::directory::AsDirectory;
     use crate::keys::HostAsKey;
     use apna_crypto::x25519::StaticSecret;
-    use apna_wire::{EphIdBytes, HostAddr};
+    use apna_wire::{ApnaHeader, EphIdBytes, HostAddr};
     use rand::SeedableRng;
 
     struct Fixture {
@@ -1142,30 +1064,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_matches_scalar_parsed_pipeline() {
-        use apna_wire::PacketBatch;
-        let f = setup();
-        let packets = vec![packet(&f, Aid(20)), packet(&f, Aid(30)), {
-            let mut p = packet(&f, Aid(20));
-            p[4] ^= 1;
-            p
-        }];
-        let mut batch = PacketBatch::from_packets(ReplayMode::Disabled, packets.clone());
-        let batched = f
-            .node
-            .br
-            .process_batch(Direction::Egress, &mut batch, Timestamp(5));
-        for (i, wire) in packets.iter().enumerate() {
-            let (header, payload) = ApnaHeader::parse(wire, ReplayMode::Disabled).unwrap();
-            let scalar = f
-                .node
-                .br
-                .process_outgoing_parsed(&header, payload, Timestamp(5));
-            assert_eq!(batched.verdicts()[i], scalar, "packet {i}");
-        }
-    }
-
-    #[test]
     fn batch_ingress_transit_delivery_and_drops() {
         use apna_wire::PacketBatch;
         let f = setup();
@@ -1230,29 +1128,6 @@ mod tests {
         assert_eq!(out2.verdicts()[0], Verdict::Drop(DropReason::Replayed));
         assert!(out2.verdicts()[1].is_forward());
         assert_eq!(br.replay_filter_entries(), 1);
-    }
-
-    #[test]
-    fn scalar_wrappers_agree_with_batch_of_one() {
-        let f = setup();
-        let wire = packet(&f, Aid(20));
-        // The raw-bytes APIs are wrappers over a batch of one; spot-check
-        // they agree with the parsed reference pipeline.
-        let (header, payload) = ApnaHeader::parse(&wire, ReplayMode::Disabled).unwrap();
-        assert_eq!(
-            f.node
-                .br
-                .process_outgoing(&wire, ReplayMode::Disabled, Timestamp(5)),
-            f.node
-                .br
-                .process_outgoing_parsed(&header, payload, Timestamp(5))
-        );
-        assert_eq!(
-            f.node
-                .br
-                .process_incoming(&wire, ReplayMode::Disabled, Timestamp(5)),
-            f.node.br.process_incoming_parsed(&header, Timestamp(5))
-        );
     }
 
     #[test]

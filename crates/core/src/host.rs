@@ -273,39 +273,6 @@ impl Host {
         self.finish_packet(ApnaHeader::new(src, dst), payload)
     }
 
-    /// Builds a burst of outgoing packets sharing one source EphID and one
-    /// destination, amortizing the address lookup and header construction
-    /// across the burst (the host-side counterpart of the border router's
-    /// batched pipeline — one template header, per-packet nonce + MAC).
-    /// Output order matches `payloads` order and each packet is
-    /// byte-identical to what [`Host::build_raw_packet`] would have
-    /// produced for the same call sequence.
-    pub fn build_raw_packet_burst(
-        &mut self,
-        src_idx: usize,
-        dst: HostAddr,
-        payloads: &[Vec<u8>],
-    ) -> Vec<Vec<u8>> {
-        let src = HostAddr::new(self.aid, self.owned[src_idx].cert.ephid);
-        let template = ApnaHeader::new(src, dst);
-        let cmac = self.kha.cmac();
-        payloads
-            .iter()
-            .map(|payload| {
-                let mut header = template;
-                if self.replay_mode == ReplayMode::NonceExtension {
-                    header = header.with_nonce(self.nonce_counter);
-                    self.nonce_counter += 1;
-                }
-                let mac: [u8; 8] = cmac.mac_truncated(&header.mac_input(payload));
-                header.set_mac(mac);
-                let mut wire = header.serialize();
-                wire.extend_from_slice(payload);
-                wire
-            })
-            .collect()
-    }
-
     /// Builds a packet sourced from the host's *control* EphID — the
     /// carrier for control-plane messages to AS services (MS, AA, DNS).
     /// Same accountability properties as data traffic: the packet is
@@ -580,39 +547,6 @@ mod tests {
                 hid: w.a.ms_endpoint.hid
             }
         );
-    }
-
-    #[test]
-    fn burst_builder_matches_sequential_builds() {
-        for mode in [ReplayMode::Disabled, ReplayMode::NonceExtension] {
-            // Two identical deterministic worlds, so the two hosts hold
-            // byte-identical EphIDs and key material.
-            let w1 = world();
-            let w2 = world();
-            let mut seq_host = attach(&w1.a, mode, 11);
-            let mut burst_host = attach(&w2.a, mode, 11);
-            let si = seq_host
-                .acquire_direct(&w1.a.ms, CertKind::Data, ExpiryClass::Short, Timestamp(0))
-                .unwrap();
-            let bi = burst_host
-                .acquire_direct(&w2.a.ms, CertKind::Data, ExpiryClass::Short, Timestamp(0))
-                .unwrap();
-            let dst = HostAddr::new(Aid(2), EphIdBytes([0x42; 16]));
-            let payloads: Vec<Vec<u8>> = (0..16u8).map(|i| vec![i; 32]).collect();
-            let sequential: Vec<Vec<u8>> = payloads
-                .iter()
-                .map(|p| seq_host.build_raw_packet(si, dst, p))
-                .collect();
-            let burst = burst_host.build_raw_packet_burst(bi, dst, &payloads);
-            // Identical worlds issue identical EphIDs, so the bursts must
-            // be byte-identical — the burst builder is a restructuring,
-            // not a semantic change.
-            assert_eq!(sequential, burst, "mode {mode:?}");
-            // And the nonce counter advanced identically.
-            let tail_seq = seq_host.build_raw_packet(si, dst, b"tail");
-            let tail_burst = burst_host.build_raw_packet(bi, dst, b"tail");
-            assert_eq!(tail_seq, tail_burst);
-        }
     }
 
     #[test]

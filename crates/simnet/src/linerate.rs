@@ -82,8 +82,8 @@ impl LineRateModel {
     }
 
     /// Amortizes a per-burst cost over its packets — how the E2/E3
-    /// reproduction converts the `border_pipeline` bench's batch numbers
-    /// into the per-packet seconds [`LineRateModel::paper_testbed`] takes.
+    /// reproduction converts its per-burst `process_batch` timings into
+    /// the per-packet seconds [`LineRateModel::paper_testbed`] takes.
     #[must_use]
     pub fn per_packet_from_batch(batch_secs: f64, batch_size: usize) -> f64 {
         assert!(batch_size > 0, "empty batch has no per-packet cost");

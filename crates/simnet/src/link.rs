@@ -137,14 +137,6 @@ pub struct Link {
     pub bandwidth_bps: u64,
     /// Fault profile.
     pub faults: FaultProfile,
-    /// When `true`, the link models store-and-forward serialization: a
-    /// packet cannot start transmitting until the previous one has fully
-    /// left (FIFO, tracked by `busy_until` — the "link release" time).
-    /// Off by default: protocol tests reason about exact per-packet
-    /// transit times in isolation.
-    queueing: bool,
-    /// The time the transmitter becomes free again (queueing mode only).
-    busy_until: SimTime,
     rng: StdRng,
     /// Counters for diagnostics.
     pub delivered: u64,
@@ -169,8 +161,6 @@ impl Link {
             latency_us,
             bandwidth_bps,
             faults: faults.assert_valid(),
-            queueing: false,
-            busy_until: SimTime::ZERO,
             rng: StdRng::seed_from_u64(seed),
             delivered: 0,
             dropped: 0,
@@ -196,12 +186,6 @@ impl Link {
     #[must_use]
     pub fn serialization_us(&self, bytes: usize) -> u64 {
         (bytes as u64 * 8 * 1_000_000) / self.bandwidth_bps.max(1)
-    }
-
-    /// Enables or disables store-and-forward queueing (see the `queueing`
-    /// field). Deterministic: the queue state is a single release time.
-    pub fn set_queueing(&mut self, on: bool) {
-        self.queueing = on;
     }
 
     fn jitter(&mut self) -> u64 {
@@ -230,19 +214,9 @@ impl Link {
             corrupted = true;
             self.corrupted += 1;
         }
-        let mut at = if self.queueing {
-            // Store-and-forward: wait for the transmitter to free up, hold
-            // it for this packet's serialization time, then propagate.
-            let start = now.max(self.busy_until);
-            let release = start.add_micros(self.serialization_us(packet.len()));
-            self.busy_until = release;
-            release
-                .add_micros(self.latency_us)
-                .add_micros(self.jitter())
-        } else {
-            now.add_micros(self.transit_time_us(packet.len()))
-                .add_micros(self.jitter())
-        };
+        let mut at = now
+            .add_micros(self.transit_time_us(packet.len()))
+            .add_micros(self.jitter());
         if self.faults.reorder_chance > 0.0 && self.rng.gen_bool(self.faults.reorder_chance) {
             at = at.add_micros(self.faults.reorder_hold_us);
             self.reordered += 1;
@@ -390,22 +364,6 @@ mod tests {
             assert!(d.at.micros() >= transit);
             assert!(d.at.micros() <= transit + 500);
         }
-    }
-
-    #[test]
-    fn queueing_serializes_back_to_back_packets() {
-        // 8 Mbps: 1000 B = 1 ms serialization. Two packets sent at the
-        // same instant must leave the transmitter one serialization time
-        // apart; without queueing they overlap.
-        let mut link = Link::new(500, 8_000_000, FaultProfile::lossless(), 0);
-        link.set_queueing(true);
-        let a = sole(link.transmit(SimTime::ZERO, &[0u8; 1000]));
-        let b = sole(link.transmit(SimTime::ZERO, &[0u8; 1000]));
-        assert_eq!(a.at.micros(), 1_500); // 1 ms serialization + 0.5 ms prop
-        assert_eq!(b.at.micros(), 2_500); // queued behind a
-                                          // After the queue drains, a later send is unaffected.
-        let c = sole(link.transmit(SimTime::from_micros(10_000), &[0u8; 1000]));
-        assert_eq!(c.at.micros(), 11_500);
     }
 
     #[test]

@@ -357,8 +357,8 @@ pub struct Network {
     topology: Topology,
     /// One border per AS, owning its node: one shard, reply nonces from 0.
     cores: HashMap<Aid, BorderCore>,
-    /// Ordered so whole-map sweeps (`set_link_queueing`) visit links in a
-    /// deterministic order (DET-1); per-hop forwarding is keyed lookup.
+    /// Ordered, so any whole-map sweep visits links in a deterministic
+    /// order (DET-1); per-hop forwarding is keyed lookup.
     links: BTreeMap<(Aid, Aid), Link>,
     now: SimTime,
     replay_mode: ReplayMode,
@@ -507,15 +507,6 @@ impl Network {
             (b, a),
             Link::new(latency_us, bandwidth_bps, faults, seed_ba),
         );
-    }
-
-    /// Enables (or disables) store-and-forward serialization queueing on
-    /// every existing link — see [`Link::set_queueing`]. Call after wiring
-    /// the topology.
-    pub fn set_link_queueing(&mut self, on: bool) {
-        for link in self.links.values_mut() {
-            link.set_queueing(on);
-        }
     }
 
     /// Immutable access to an AS.

@@ -52,6 +52,10 @@ const MAGIC: u16 = 0x5CA1;
 /// per-flow bitmap, the trick that keeps 1M flows in 24 MB.
 pub const MAX_FLOW_PKTS: u32 = 64;
 
+/// Foreign ASes sampled per wire EphID for the unlinkability check
+/// (decrypt-must-fail). Full cross-product is O(EphIDs × ASes).
+const FOREIGN_OPEN_SAMPLE: usize = 3;
+
 /// Everything that parameterizes one scale run. Two runs with equal
 /// configs produce byte-identical [`ScaleReport::digest`]s.
 #[derive(Debug, Clone)]
@@ -87,11 +91,6 @@ pub struct ScaleConfig {
     pub faults: FaultProfile,
     /// Shut-off strikes to file, evenly spaced across the run.
     pub shutoffs: u32,
-    /// Model store-and-forward serialization on every link.
-    pub link_queueing: bool,
-    /// Foreign ASes sampled per wire EphID for the unlinkability check
-    /// (decrypt-must-fail). Full cross-product is O(EphIDs × ASes).
-    pub foreign_open_sample: usize,
 }
 
 impl Default for ScaleConfig {
@@ -115,8 +114,6 @@ impl Default for ScaleConfig {
             replay_mode: ReplayMode::Disabled,
             faults: FaultProfile::lossless(),
             shutoffs: 1,
-            link_queueing: false,
-            foreign_open_sample: 3,
         }
     }
 }
@@ -521,10 +518,7 @@ impl ScaleWorld {
             };
             let home = self.host_as[owner as usize];
             let ring = &self.all_ases;
-            let want = self
-                .cfg
-                .foreign_open_sample
-                .min(ring.len().saturating_sub(1));
+            let want = FOREIGN_OPEN_SAMPLE.min(ring.len().saturating_sub(1));
             let start = u64::from_be_bytes(e.0[..8].try_into().unwrap()) as usize;
             let mut tried = 0usize;
             let mut step = 0usize;
@@ -607,9 +601,6 @@ impl ScaleScenario {
         }
         for &(a, b) in &bp.edges {
             net.connect(a, b, 1_000, 10_000_000_000, cfg.faults);
-        }
-        if cfg.link_queueing {
-            net.set_link_queueing(true);
         }
 
         let hosts = bp.host_ases.len() as u64 * u64::from(cfg.hosts_per_as.max(1));

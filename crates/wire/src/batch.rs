@@ -71,8 +71,8 @@ impl PacketBatch {
         }
     }
 
-    /// Convenience: a batch holding exactly one packet (the scalar API
-    /// wraps this).
+    /// Convenience: a batch holding exactly one packet (the border
+    /// router's per-packet wrappers run one through the batched pipeline).
     #[must_use]
     pub fn of_one(mode: ReplayMode, packet: Vec<u8>) -> PacketBatch {
         PacketBatch::from_packets(mode, vec![packet])

@@ -1,23 +1,31 @@
-//! Batch/scalar equivalence: `BorderRouter::process_batch` must yield
-//! exactly the `Verdict` sequence the per-packet APIs produce — including
-//! every [`DropReason`] and the stateful replay filter — on arbitrary
-//! packet mixes. Three identically-configured router clones process the
-//! same byte stream through the three entry points:
+//! Differential test of the border router's one Fig. 4 pipeline.
 //!
-//! 1. `process_*_parsed` — the per-packet reference composition,
-//! 2. `process_outgoing`/`process_incoming` — raw bytes, batch-of-one,
-//! 3. `process_batch` — one burst through the staged pipeline.
+//! `BorderRouter::process_batch` — and `process_outgoing`/
+//! `process_incoming`, its batch-of-one wrappers — must yield exactly the
+//! `Verdict` a per-packet reading of Fig. 4 gives, including every
+//! [`DropReason`] and the stateful §VIII-D replay filter, on arbitrary
+//! packet mixes. The reference is [`Fig4Model`], an independent oracle
+//! built only from public pieces: `ApnaHeader::parse`, the single-EphID
+//! `ephid::open`, the AS's revocation list and host table, the scalar
+//! `CmacAes128::verify` and one `ReplayWindow` per source EphID. It shares
+//! none of the router's stages, so a defect in any of them (the batched
+//! EphID sweeps, the lane CMAC, the sharded replay filter, the
+//! validity checks) shows up as a disagreement.
 
 use apna_bench::BenchWorld;
-use apna_core::border::{BorderRouter, Direction, DropReason, Verdict};
+use apna_core::asnode::AsInfra;
+use apna_core::border::{Direction, DropReason, Verdict};
 use apna_core::cert::CertKind;
+use apna_core::ephid;
 use apna_core::keys::HostAsKey;
+use apna_core::replay::ReplayWindow;
 use apna_core::time::ExpiryClass;
 use apna_core::Timestamp;
 use apna_crypto::x25519::StaticSecret;
 use apna_wire::{Aid, ApnaHeader, EphIdBytes, HostAddr, PacketBatch, ReplayMode};
 use proptest::prelude::*;
 use rand::SeedableRng;
+use std::collections::HashMap;
 
 /// All verdicts are compared at this protocol time: late enough that the
 /// Short-class EphID (issued at t=0, lives 900 s) has expired while the
@@ -144,61 +152,153 @@ impl Fixture {
     }
 }
 
-/// Scalar reference: parse + `process_*_parsed`, mirroring what the raw
-/// wrapper is specified to do, packet by packet.
-fn scalar_egress(br: &BorderRouter, wire: &[u8], mode: ReplayMode) -> Verdict {
-    match ApnaHeader::parse(wire, mode) {
-        Ok((header, payload)) => br.process_outgoing_parsed(&header, payload, NOW),
-        Err(_) => Verdict::Drop(DropReason::Malformed),
+/// Fig. 4 read one packet at a time, straight from the paper: "one
+/// decryption, two table lookups, and one MAC verification" (§V-B2), then
+/// the in-network replay window on egress.
+struct Fig4Model<'a> {
+    infra: &'a AsInfra,
+    /// The §VIII-D filter (the properties run the router with it on):
+    /// one window per source EphID, updated only by packets whose MAC
+    /// verified.
+    windows: HashMap<EphIdBytes, ReplayWindow>,
+}
+
+impl<'a> Fig4Model<'a> {
+    fn new(infra: &'a AsInfra) -> Fig4Model<'a> {
+        Fig4Model {
+            infra,
+            windows: HashMap::new(),
+        }
+    }
+
+    /// Bottom of Fig. 4: source-AS enforcement.
+    fn egress(&mut self, wire: &[u8], mode: ReplayMode) -> Verdict {
+        let Ok((header, payload)) = ApnaHeader::parse(wire, mode) else {
+            return Verdict::Drop(DropReason::Malformed);
+        };
+        let src = header.src.ephid;
+        let Ok(plain) = ephid::open(&self.infra.keys, &src) else {
+            return Verdict::Drop(DropReason::BadEphId);
+        };
+        if plain.exp_time < NOW {
+            return Verdict::Drop(DropReason::Expired);
+        }
+        if self.infra.revoked.contains(&src) {
+            return Verdict::Drop(DropReason::Revoked);
+        }
+        let Some(cmac) = self.infra.host_db.cmac_of_valid(plain.hid) else {
+            return Verdict::Drop(DropReason::UnknownHost);
+        };
+        if !cmac.verify(&header.mac_input(payload), &header.mac) {
+            return Verdict::Drop(DropReason::BadPacketMac);
+        }
+        if let Some(nonce) = header.nonce {
+            if !self.windows.entry(src).or_default().check_and_update(nonce) {
+                return Verdict::Drop(DropReason::Replayed);
+            }
+        }
+        Verdict::ForwardInter {
+            dst_aid: header.dst.aid,
+        }
+    }
+
+    /// Top of Fig. 4: transit forwards on the AID; the destination AS
+    /// delivers to the HID behind a valid destination EphID.
+    fn ingress(&self, wire: &[u8], mode: ReplayMode) -> Verdict {
+        let Ok((header, _)) = ApnaHeader::parse(wire, mode) else {
+            return Verdict::Drop(DropReason::Malformed);
+        };
+        if header.dst.aid != self.infra.aid {
+            return Verdict::ForwardInter {
+                dst_aid: header.dst.aid,
+            };
+        }
+        let dst = header.dst.ephid;
+        let Ok(plain) = ephid::open(&self.infra.keys, &dst) else {
+            return Verdict::Drop(DropReason::BadEphId);
+        };
+        if plain.exp_time < NOW {
+            return Verdict::Drop(DropReason::Expired);
+        }
+        if self.infra.revoked.contains(&dst) {
+            return Verdict::Drop(DropReason::Revoked);
+        }
+        if !self.infra.host_db.is_valid(plain.hid) {
+            return Verdict::Drop(DropReason::UnknownHost);
+        }
+        Verdict::DeliverLocal { hid: plain.hid }
     }
 }
 
-fn scalar_ingress(br: &BorderRouter, wire: &[u8], mode: ReplayMode) -> Verdict {
-    match ApnaHeader::parse(wire, mode) {
-        Ok((header, _)) => br.process_incoming_parsed(&header, NOW),
-        Err(_) => Verdict::Drop(DropReason::Malformed),
-    }
-}
-
-/// The generator must actually reach every verdict arm, or the
-/// equivalence properties above would be vacuous.
+/// The egress generator must reach every verdict arm, on the router and
+/// on the model alike, or the egress properties below would be vacuous.
 #[test]
 fn generator_covers_every_drop_reason() {
     let f = fixture();
     let mut br = f.world.node.br.clone();
     br.enable_replay_filter();
+    let mut model = Fig4Model::new(&f.world.node.infra);
     let mode = ReplayMode::NonceExtension;
     let expect = [
-        (0u8, None), // forwards
-        (1, Some(DropReason::Malformed)),
-        (2, Some(DropReason::BadEphId)),
-        (3, Some(DropReason::Expired)),
-        (4, Some(DropReason::Revoked)),
-        (5, Some(DropReason::BadPacketMac)),
-        (6, Some(DropReason::UnknownHost)),
+        Verdict::ForwardInter { dst_aid: Aid(2) },
+        Verdict::Drop(DropReason::Malformed),
+        Verdict::Drop(DropReason::BadEphId),
+        Verdict::Drop(DropReason::Expired),
+        Verdict::Drop(DropReason::Revoked),
+        Verdict::Drop(DropReason::BadPacketMac),
+        Verdict::Drop(DropReason::UnknownHost),
     ];
-    for (kind, want) in expect {
+    for (kind, want) in (0u8..).zip(expect) {
         let wire = f.egress_packet(kind, 1, 7);
-        let got = br.process_outgoing(&wire, mode, NOW);
-        match want {
-            None => assert!(got.is_forward(), "kind {kind}: {got:?}"),
-            Some(reason) => assert_eq!(got, Verdict::Drop(reason), "kind {kind}"),
-        }
+        assert_eq!(
+            br.process_outgoing(&wire, mode, NOW),
+            want,
+            "router kind {kind}"
+        );
+        assert_eq!(model.egress(&wire, mode), want, "model kind {kind}");
     }
     // A repeated (kind 0, nonce) pair is a replay.
     let wire = f.egress_packet(0, 1, 7);
-    assert_eq!(
-        br.process_outgoing(&wire, mode, NOW),
-        Verdict::Drop(DropReason::Replayed)
-    );
+    let replayed = Verdict::Drop(DropReason::Replayed);
+    assert_eq!(br.process_outgoing(&wire, mode, NOW), replayed);
+    assert_eq!(model.egress(&wire, mode), replayed);
+}
+
+/// The ingress twin: kinds 0–6 reach delivery, transit and every ingress
+/// drop reason, on the router and on the model alike.
+#[test]
+fn ingress_generator_covers_every_arm() {
+    let f = fixture();
+    let br = &f.world.node.br;
+    let model = Fig4Model::new(&f.world.node.infra);
+    let mode = ReplayMode::NonceExtension;
+    let expect = [
+        Verdict::DeliverLocal { hid: f.world.hid },
+        Verdict::ForwardInter { dst_aid: Aid(9) },
+        Verdict::Drop(DropReason::BadEphId),
+        Verdict::Drop(DropReason::Expired),
+        Verdict::Drop(DropReason::Revoked),
+        Verdict::Drop(DropReason::UnknownHost),
+        Verdict::Drop(DropReason::Malformed),
+    ];
+    for (kind, want) in (0u8..).zip(expect) {
+        let wire = f.ingress_packet(kind, 7);
+        assert_eq!(
+            br.process_incoming(&wire, mode, NOW),
+            want,
+            "router kind {kind}"
+        );
+        assert_eq!(model.ingress(&wire, mode), want, "model kind {kind}");
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// ∀ egress packet mixes (with the §VIII-D replay filter on): the
-    /// three entry points agree verdict-for-verdict, the counters match
-    /// the verdict histogram, and replay state ends up identical.
+    /// model, the raw wrapper and `process_batch` agree verdict for
+    /// verdict, the counters match the verdict histogram, and the replay
+    /// filter ends up tracking the same source EphIDs as the model.
     #[test]
     fn egress_batch_equals_scalar(
         specs in proptest::collection::vec(
@@ -212,20 +312,16 @@ proptest! {
             .map(|&(kind, nonce, pb)| f.egress_packet(kind, nonce, pb))
             .collect();
 
-        // Three router clones over the same AS state, each with its own
+        // Two router clones over the same AS state, each with its own
         // (initially empty) replay filter.
-        let mut br_parsed = f.world.node.br.clone();
-        br_parsed.enable_replay_filter();
         let mut br_raw = f.world.node.br.clone();
         br_raw.enable_replay_filter();
         let mut br_batch = f.world.node.br.clone();
         br_batch.enable_replay_filter();
+        let mut model = Fig4Model::new(&f.world.node.infra);
 
         let mode = ReplayMode::NonceExtension;
-        let parsed_verdicts: Vec<Verdict> = packets
-            .iter()
-            .map(|w| scalar_egress(&br_parsed, w, mode))
-            .collect();
+        let expected: Vec<Verdict> = packets.iter().map(|w| model.egress(w, mode)).collect();
         let raw_verdicts: Vec<Verdict> = packets
             .iter()
             .map(|w| br_raw.process_outgoing(w, mode, NOW))
@@ -233,29 +329,29 @@ proptest! {
         let mut batch = PacketBatch::from_packets(mode, packets);
         let batched = br_batch.process_batch(Direction::Egress, &mut batch, NOW);
 
-        prop_assert_eq!(&parsed_verdicts, &raw_verdicts);
-        prop_assert_eq!(&parsed_verdicts, &batched.verdicts().to_vec());
+        prop_assert_eq!(&expected, &raw_verdicts);
+        prop_assert_eq!(&expected, &batched.verdicts().to_vec());
 
         // Counters are exactly the drop histogram of the verdicts.
         for reason in DropReason::ALL {
-            let expected = parsed_verdicts
+            let count = expected
                 .iter()
                 .filter(|v| matches!(v, Verdict::Drop(r) if *r == reason))
                 .count() as u64;
-            prop_assert_eq!(batched.counters().count(reason), expected);
+            prop_assert_eq!(batched.counters().count(reason), count);
         }
         prop_assert_eq!(
             batched.passed(),
-            parsed_verdicts.iter().filter(|v| v.is_forward()).count() as u64
+            expected.iter().filter(|v| v.is_forward()).count() as u64
         );
 
         // The stateful stage converged to the same filter population.
-        prop_assert_eq!(br_parsed.replay_filter_entries(), br_batch.replay_filter_entries());
-        prop_assert_eq!(br_raw.replay_filter_entries(), br_batch.replay_filter_entries());
+        prop_assert_eq!(model.windows.len(), br_batch.replay_filter_entries());
+        prop_assert_eq!(model.windows.len(), br_raw.replay_filter_entries());
     }
 
-    /// ∀ ingress packet mixes: same three-way agreement (ingress is
-    /// stateless, so one router serves all paths).
+    /// ∀ ingress packet mixes: the same three-way agreement (ingress is
+    /// stateless, so one router serves both entry points).
     #[test]
     fn ingress_batch_equals_scalar(
         specs in proptest::collection::vec((0u8..7, any::<u8>()), 1..48),
@@ -266,12 +362,10 @@ proptest! {
             .map(|&(kind, pb)| f.ingress_packet(kind, pb))
             .collect();
         let br = &f.world.node.br;
+        let model = Fig4Model::new(&f.world.node.infra);
 
         let mode = ReplayMode::NonceExtension;
-        let parsed_verdicts: Vec<Verdict> = packets
-            .iter()
-            .map(|w| scalar_ingress(br, w, mode))
-            .collect();
+        let expected: Vec<Verdict> = packets.iter().map(|w| model.ingress(w, mode)).collect();
         let raw_verdicts: Vec<Verdict> = packets
             .iter()
             .map(|w| br.process_incoming(w, mode, NOW))
@@ -279,14 +373,14 @@ proptest! {
         let mut batch = PacketBatch::from_packets(mode, packets);
         let batched = br.process_batch(Direction::Ingress, &mut batch, NOW);
 
-        prop_assert_eq!(&parsed_verdicts, &raw_verdicts);
-        prop_assert_eq!(&parsed_verdicts, &batched.verdicts().to_vec());
+        prop_assert_eq!(&expected, &raw_verdicts);
+        prop_assert_eq!(&expected, &batched.verdicts().to_vec());
         for reason in DropReason::ALL {
-            let expected = parsed_verdicts
+            let count = expected
                 .iter()
                 .filter(|v| matches!(v, Verdict::Drop(r) if *r == reason))
                 .count() as u64;
-            prop_assert_eq!(batched.counters().count(reason), expected);
+            prop_assert_eq!(batched.counters().count(reason), count);
         }
     }
 
