@@ -2,13 +2,15 @@
 //!
 //! A [`HostAgent`] owns a bootstrapped [`Host`] (and with it the host's key
 //! material and issued EphIDs) plus the [`EphIdPool`] that maps traffic to
-//! EphIDs under a §VIII-A granularity policy. It exposes *intent-level*
-//! calls — [`HostAgent::acquire`], [`HostAgent::ephid_for`],
-//! [`HostAgent::refresh_expiring`], [`HostAgent::request_shutoff`] — and
-//! turns each into a [`ControlMsg`] round-trip against a [`ControlPlane`]
-//! service: serialize, dispatch, parse, accept. The envelope is exercised
-//! on every call even when the "transport" is a direct function call; the
-//! simulator swaps in real packets without touching this code.
+//! EphIDs under a §VIII-A granularity policy. It exposes the host's
+//! *intents* — [`HostAgent::acquire`], [`HostAgent::acquire_many`],
+//! [`HostAgent::ephid_for`], [`HostAgent::refresh_expiring`],
+//! [`HostAgent::request_shutoff`], [`HostAgent::dns_register`],
+//! [`HostAgent::dns_update`] — each written once over a
+//! [`ControlTransport`]: build the [`ControlMsg`]s, hand them to the
+//! transport, accept the replies. A `&impl ControlPlane` serves them in
+//! process; the simulator's network carries the same messages as packets,
+//! and this code does not change between the two.
 //!
 //! The agent dereferences to its [`Host`], so data-plane calls
 //! (`build_packet`, `receive_packet`, `owned_ephid`, …) read the same as
@@ -16,15 +18,14 @@
 
 use crate::asnode::AsNode;
 use crate::cert::CertKind;
-use crate::control::{ControlMsg, ControlPlane, DnsUpsert, ShutoffAck};
+use crate::control::{ControlMsg, ControlTransport, DnsUpsert, Service, ShutoffAck};
 use crate::granularity::{EphIdPool, Granularity, SlotDecision};
 use crate::host::Host;
 use crate::keys::EphIdKeyPair;
 use crate::shutoff::ShutoffRequest;
 use crate::time::{ExpiryClass, Timestamp};
 use crate::Error;
-use apna_wire::ipv4::Ipv4Addr;
-use apna_wire::{EphIdBytes, HostAddr, ReplayMode};
+use apna_wire::{Aid, EphIdBytes, ReplayMode};
 
 /// What an EphID will be used for: the certificate kind plus the §VIII-G1
 /// expiry class, bundled so intent-level calls stay two-argument.
@@ -114,12 +115,6 @@ impl HostAgent {
         }
     }
 
-    /// Read access to the wrapped host (the deref target, made explicit).
-    #[must_use]
-    pub fn host(&self) -> &Host {
-        &self.host
-    }
-
     /// Adjusts how far ahead of expiry [`HostAgent::refresh_expiring`]
     /// replaces EphIDs.
     pub fn set_refresh_margin(&mut self, secs: u32) {
@@ -148,8 +143,7 @@ impl HostAgent {
         let reply = match reply {
             ControlMsg::EphIdReply(reply) => reply,
             // Admission-control pushback: surface the typed drop so callers
-            // (e.g. the simulator's control RPC) can back off and retry
-            // instead of treating it as a protocol violation.
+            // can back off instead of treating it as a protocol violation.
             ControlMsg::EphIdBusy(busy) => {
                 return Err(Error::Management(crate::management::MsDrop::RateLimited {
                     retry_after_secs: busy.retry_after_secs,
@@ -168,56 +162,46 @@ impl HostAgent {
         self.host.accept_ephid_reply(pending.keypair, reply, now)
     }
 
-    /// One-call acquisition over a [`ControlPlane`]: the request and reply
-    /// cross the serialized [`ControlMsg`] envelope in both directions,
-    /// exactly as they would on the wire.
+    /// Acquires one EphID from the host's Management Service and returns
+    /// its index. In process (`&node`) the request and reply still cross
+    /// the serialized [`ControlMsg`] envelope, exactly as on the wire.
     pub fn acquire(
         &mut self,
-        cp: &(impl ControlPlane + ?Sized),
+        mut transport: impl ControlTransport,
         usage: EphIdUsage,
         now: Timestamp,
     ) -> Result<usize, Error> {
         let (pending, msg) = self.begin_acquire(usage);
-        let reply_frame = cp
-            .handle_control_frame(&msg.serialize(), now)?
-            .ok_or(Error::ControlRejected("issuance produced no reply"))?;
-        let reply = ControlMsg::parse(&reply_frame)?;
-        self.complete_acquire(pending, &reply, now)
+        let reply = transport.call(&mut self.host, Service::Ms, &msg, now)?;
+        self.complete_acquire(pending, &reply.msg, reply.at)
     }
 
-    /// Batched acquisition over a [`ControlPlane`]: every request is
-    /// built up front and the burst crosses
-    /// [`ControlPlane::handle_control_batch`] as ONE dispatch — against an
-    /// AS node the issuances run the pipelined `handle_request_batch`
-    /// path instead of N sequential round-trips. Returns the owned
-    /// indices in request order; the first failed slot aborts with no
-    /// partial pool mutation (acquired EphIDs stay owned and reusable).
+    /// Batched acquisition: every request is built up front and leaves as
+    /// ONE burst — against an AS node the issuances run the pipelined
+    /// `handle_request_batch` path instead of N sequential round-trips.
+    /// Returns the owned indices in request order; the first failed slot
+    /// aborts with no partial pool mutation (acquired EphIDs stay owned
+    /// and reusable).
     pub fn acquire_many(
         &mut self,
-        cp: &(impl ControlPlane + ?Sized),
+        mut transport: impl ControlTransport,
         usages: &[EphIdUsage],
         now: Timestamp,
     ) -> Result<Vec<usize>, Error> {
-        let mut in_flight = Vec::with_capacity(usages.len());
-        let mut frames = Vec::with_capacity(usages.len());
-        for &usage in usages {
-            let (pending, msg) = self.begin_acquire(usage);
-            frames.push(msg.serialize());
-            in_flight.push(pending);
-        }
-        let frame_refs: Vec<&[u8]> = frames.iter().map(Vec::as_slice).collect();
-        let results = cp.handle_control_batch(&frame_refs, now);
-        if results.len() != in_flight.len() {
-            return Err(Error::ControlRejected("batch reply count mismatch"));
-        }
-        let mut indices = Vec::with_capacity(in_flight.len());
-        for (pending, result) in in_flight.into_iter().zip(results) {
-            let reply_frame =
-                result?.ok_or(Error::ControlRejected("issuance produced no reply"))?;
-            let reply = ControlMsg::parse(&reply_frame)?;
-            indices.push(self.complete_acquire(pending, &reply, now)?);
-        }
-        Ok(indices)
+        let (in_flight, msgs): (Vec<_>, Vec<_>) =
+            usages.iter().map(|&u| self.begin_acquire(u)).unzip();
+        let mut outcomes = transport
+            .burst(&mut self.host, Service::Ms, &msgs, now)
+            .into_iter();
+        in_flight
+            .into_iter()
+            .map(|pending| {
+                let reply = outcomes
+                    .next()
+                    .ok_or(Error::ControlRejected("burst ended without an outcome"))??;
+                self.complete_acquire(pending, &reply.msg, reply.at)
+            })
+            .collect()
     }
 
     /// Selects (acquiring if needed) the EphID for a packet of `flow` /
@@ -225,7 +209,7 @@ impl HostAgent {
     /// [`Host::owned_ephid`].
     pub fn ephid_for(
         &mut self,
-        cp: &(impl ControlPlane + ?Sized),
+        transport: impl ControlTransport,
         flow: u64,
         app: u16,
         now: Timestamp,
@@ -233,19 +217,26 @@ impl HostAgent {
         match self.pool.slot_for(flow, app) {
             SlotDecision::Reuse(idx) => Ok(idx),
             SlotDecision::NeedNew(key) => {
-                let idx = self.acquire(cp, EphIdUsage::DATA_SHORT, now)?;
+                let idx = self.acquire(transport, EphIdUsage::DATA_SHORT, now)?;
                 self.pool.install(key, idx);
                 Ok(idx)
             }
         }
     }
 
+    /// Pools `idx` as the EphID for `flow` / `app` when the pool has none
+    /// for it yet — for an EphID acquired ahead of the first packet, e.g.
+    /// in an attach burst.
+    pub fn prefill(&mut self, flow: u64, app: u16, idx: usize) {
+        if let SlotDecision::NeedNew(key) = self.pool.slot_for(flow, app) {
+            self.pool.install(key, idx);
+        }
+    }
+
     /// The pooled EphID indices that expire within the refresh margin of
     /// `now` — what [`HostAgent::refresh_expiring`] is about to replace.
-    /// Sorted and deduplicated, so callers (like the simulator's
-    /// packetized refresh) can drive the replacement themselves.
-    #[must_use]
-    pub fn refresh_candidates(&self, now: Timestamp) -> Vec<usize> {
+    /// Sorted and deduplicated.
+    fn refresh_candidates(&self, now: Timestamp) -> Vec<usize> {
         let deadline = now.add_secs(self.refresh_margin_secs);
         let mut stale: Vec<usize> = self
             .pool
@@ -258,25 +249,13 @@ impl HostAgent {
         stale
     }
 
-    /// Repoints every pool slot served by `old_idx` to `new_idx` (the
-    /// commit half of a refresh, once the successor EphID is in hand).
-    /// Returns how many slots moved.
-    pub fn repoint_index(&mut self, old_idx: usize, new_idx: usize) -> usize {
-        let keys = self.pool.evict_index(old_idx);
-        let moved = keys.len();
-        for key in keys {
-            self.pool.install(key, new_idx);
-        }
-        moved
-    }
-
     /// Replaces every pooled data EphID that expires within the refresh
     /// margin: acquires a successor and repoints the slots it served, so
     /// ongoing flows never hit the border router's expiry check. Returns
     /// how many EphIDs were replaced.
     pub fn refresh_expiring(
         &mut self,
-        cp: &(impl ControlPlane + ?Sized),
+        transport: impl ControlTransport,
         now: Timestamp,
     ) -> Result<usize, Error> {
         let stale = self.refresh_candidates(now);
@@ -284,14 +263,16 @@ impl HostAgent {
             return Ok(0);
         }
         // Acquire every successor BEFORE touching the pool — as one
-        // batched dispatch, so a rotation wave costs one control burst,
-        // not N round-trips. If issuance fails the error propagates with
-        // every flow→EphID mapping intact, instead of silently evicting
-        // slots it cannot refill.
+        // burst, so a rotation wave costs one control burst, not N
+        // round-trips. If issuance fails the error propagates with every
+        // flow→EphID mapping intact, instead of silently evicting slots it
+        // cannot refill.
         let usages = vec![EphIdUsage::DATA_SHORT; stale.len()];
-        let fresh = self.acquire_many(cp, &usages, now)?;
+        let fresh = self.acquire_many(transport, &usages, now)?;
         for (&old_idx, &new_idx) in stale.iter().zip(&fresh) {
-            self.repoint_index(old_idx, new_idx);
+            for key in self.pool.evict_index(old_idx) {
+                self.pool.install(key, new_idx);
+            }
         }
         Ok(stale.len())
     }
@@ -309,117 +290,97 @@ impl HostAgent {
         self.pool.evict_index(idx).len()
     }
 
-    /// Builds a shut-off request message from received evidence: the
-    /// unwanted packet, signed with the key of the EphID that received it
-    /// (`owned_idx`), plus that EphID's certificate.
-    #[must_use]
-    pub fn shutoff_request(&self, evidence: &[u8], owned_idx: usize) -> ControlMsg {
-        let owned = self.host.owned_ephid(owned_idx);
-        ControlMsg::ShutoffRequest(ShutoffRequest::create(
-            evidence,
-            &owned.keys,
-            owned.cert.clone(),
-        ))
-    }
-
-    /// Files a shut-off request against the accountability agent behind
-    /// `cp` and returns its acknowledgement.
+    /// Files a shut-off request with the accountability agent of AS `aa`
+    /// (the source AS of the unwanted packet) and returns its
+    /// acknowledgement. The evidence is the unwanted packet, signed with
+    /// the key of the EphID that received it (`owned_idx`) and sent with
+    /// that EphID's certificate.
     pub fn request_shutoff(
         &mut self,
-        cp: &(impl ControlPlane + ?Sized),
+        mut transport: impl ControlTransport,
+        aa: Aid,
         evidence: &[u8],
         owned_idx: usize,
         now: Timestamp,
     ) -> Result<ShutoffAck, Error> {
-        let msg = self.shutoff_request(evidence, owned_idx);
-        let reply_frame = cp
-            .handle_control_frame(&msg.serialize(), now)?
-            .ok_or(Error::ControlRejected("shutoff produced no reply"))?;
-        match ControlMsg::parse(&reply_frame)? {
-            ControlMsg::ShutoffAck(ack) => Ok(ack),
-            ControlMsg::EphIdRequest(_)
-            | ControlMsg::EphIdReply(_)
-            | ControlMsg::RevocationAnnounce(_)
-            | ControlMsg::ShutoffRequest(_)
-            | ControlMsg::DnsRegister(_)
-            | ControlMsg::DnsUpdate(_)
-            | ControlMsg::DnsAck { .. }
-            | ControlMsg::EphIdBusy(_) => Err(Error::ControlRejected("expected a shutoff ack")),
-        }
+        let owned = self.host.owned_ephid(owned_idx);
+        let msg = ControlMsg::ShutoffRequest(ShutoffRequest::create(
+            evidence,
+            &owned.keys,
+            owned.cert.clone(),
+        ));
+        let reply = transport.call(&mut self.host, Service::Aa(aa), &msg, now)?;
+        let ControlMsg::ShutoffAck(ack) = reply.msg else {
+            return Err(Error::ControlRejected("expected a shutoff ack"));
+        };
+        Ok(ack)
     }
 
     // -----------------------------------------------------------------
     // DNS publication (§VII-A, intent level)
     // -----------------------------------------------------------------
 
-    /// Builds a DNS registration message publishing the owned EphID at
-    /// `owned_idx` under `name`, authorized by that EphID's own key (the
-    /// zone's proof-of-possession check).
-    #[must_use]
-    pub fn dns_register_msg(
-        &self,
+    /// Publishes the owned EphID at `owned_idx` under `name` in the zone
+    /// AS `zone` serves, authorized by that EphID's own key (the zone's
+    /// proof-of-possession check). Hosts publish no IPv4 (§VII-D lets
+    /// operators withhold it).
+    pub fn dns_register(
+        &mut self,
+        transport: impl ControlTransport,
+        zone: Aid,
         name: &str,
         owned_idx: usize,
-        ipv4: Option<Ipv4Addr>,
-    ) -> ControlMsg {
+        now: Timestamp,
+    ) -> Result<(), Error> {
         let owned = self.host.owned_ephid(owned_idx);
-        ControlMsg::DnsRegister(DnsUpsert::signed(
-            name,
-            owned.cert.clone(),
-            ipv4,
-            &owned.keys.sign(),
-        ))
+        let upsert = DnsUpsert::signed(name, owned.cert.clone(), None, &owned.keys.sign());
+        self.dns_publish(transport, zone, name, ControlMsg::DnsRegister(upsert), now)
     }
 
-    /// Builds a DNS rotation message publishing `new_idx`'s certificate
-    /// under `name`, authorized by the key of the currently published
-    /// EphID at `current_idx` (the zone's continuity check).
-    #[must_use]
-    pub fn dns_update_msg(
-        &self,
+    /// Re-publishes `name` with `new_idx`'s certificate, authorized by the
+    /// key of the currently published EphID at `current_idx` (the zone's
+    /// continuity check).
+    pub fn dns_update(
+        &mut self,
+        transport: impl ControlTransport,
+        zone: Aid,
         name: &str,
         new_idx: usize,
         current_idx: usize,
-        ipv4: Option<Ipv4Addr>,
-    ) -> ControlMsg {
+        now: Timestamp,
+    ) -> Result<(), Error> {
         let new_cert = self.host.owned_cert(new_idx).clone();
         let current = self.host.owned_ephid(current_idx);
-        ControlMsg::DnsUpdate(DnsUpsert::signed(
-            name,
-            new_cert,
-            ipv4,
-            &current.keys.sign(),
-        ))
+        let upsert = DnsUpsert::signed(name, new_cert, None, &current.keys.sign());
+        self.dns_publish(transport, zone, name, ControlMsg::DnsUpdate(upsert), now)
+    }
+
+    fn dns_publish(
+        &mut self,
+        mut transport: impl ControlTransport,
+        zone: Aid,
+        name: &str,
+        msg: ControlMsg,
+        now: Timestamp,
+    ) -> Result<(), Error> {
+        let reply = transport.call(&mut self.host, Service::Dns(zone), &msg, now)?;
+        match reply.msg {
+            ControlMsg::DnsAck { name: acked } if acked == name => Ok(()),
+            ControlMsg::DnsAck { .. }
+            | ControlMsg::EphIdRequest(_)
+            | ControlMsg::EphIdReply(_)
+            | ControlMsg::EphIdBusy(_)
+            | ControlMsg::RevocationAnnounce(_)
+            | ControlMsg::ShutoffRequest(_)
+            | ControlMsg::ShutoffAck(_)
+            | ControlMsg::DnsRegister(_)
+            | ControlMsg::DnsUpdate(_) => Err(Error::ControlRejected("expected a DNS ack")),
+        }
     }
 
     // -----------------------------------------------------------------
-    // Transport helpers & metrics
+    // Metrics
     // -----------------------------------------------------------------
-
-    /// Wraps a control message in an APNA packet sourced from the host's
-    /// control EphID (the packetized transport the simulator routes).
-    pub fn build_control_packet(&mut self, dst: HostAddr, msg: &ControlMsg) -> Vec<u8> {
-        self.host.build_ctrl_packet(dst, &msg.serialize())
-    }
-
-    /// Maps the next packet of `flow` / `app` to a pool decision without
-    /// acquiring — for transports (like the simulator) that run the
-    /// acquisition themselves and then call [`HostAgent::pool_install`].
-    pub fn pool_slot_for(&mut self, flow: u64, app: u16) -> SlotDecision {
-        self.pool.slot_for(flow, app)
-    }
-
-    /// Installs an acquired EphID index for a pool key handed out by
-    /// [`HostAgent::pool_slot_for`].
-    pub fn pool_install(&mut self, key: crate::granularity::PoolKey, index: usize) {
-        self.pool.install(key, index);
-    }
-
-    /// The pool's granularity policy.
-    #[must_use]
-    pub fn granularity(&self) -> Granularity {
-        self.pool.policy()
-    }
 
     /// Pool statistics: (allocations, packets) — the E9 metrics.
     #[must_use]
@@ -431,8 +392,8 @@ impl HostAgent {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::control::ControlPlane;
     use crate::directory::AsDirectory;
-    use apna_wire::Aid;
 
     fn node() -> AsNode {
         AsNode::from_seed(Aid(1), [1; 32], &AsDirectory::new(), Timestamp(0))
@@ -599,7 +560,7 @@ mod tests {
         let dst = victim.owned_ephid(vi).addr(Aid(2));
         let evidence = sender.build_raw_packet(si, dst, b"unwanted");
         let ack = victim
-            .request_shutoff(&a_node, &evidence, vi, Timestamp(1))
+            .request_shutoff(&a_node, Aid(1), &evidence, vi, Timestamp(1))
             .unwrap();
         assert_eq!(ack.ephid, sender.owned_ephid(si).ephid());
         assert!(!ack.hid_revoked);

@@ -411,7 +411,7 @@ mod tests {
         .unwrap();
         let ms = HostAddr::new(node.aid(), node.ms_endpoint.ephid);
         let (_, msg) = host.begin_acquire(crate::EphIdUsage::DATA_SHORT);
-        let packet = host.build_control_packet(ms, &msg);
+        let packet = host.build_ctrl_packet(ms, &msg.serialize());
         (host, packet)
     }
 

@@ -19,13 +19,14 @@
 //! directly.
 
 use crate::cert::EphIdCert;
+use crate::host::Host;
 use crate::management::{EphIdReply, EphIdRequest, MsDrop};
 use crate::shutoff::{RevocationOrder, ShutoffRequest};
 use crate::time::Timestamp;
 use crate::{AsNode, Error};
 use apna_crypto::ed25519::{Signature, SIGNATURE_LEN};
 use apna_wire::ipv4::Ipv4Addr;
-use apna_wire::{EphIdBytes, ReplayMode, WireError, EPHID_LEN};
+use apna_wire::{Aid, EphIdBytes, ReplayMode, WireError, EPHID_LEN};
 
 /// Magic bytes opening every control frame.
 pub const CONTROL_MAGIC: [u8; 4] = *b"APCP";
@@ -513,10 +514,10 @@ impl ControlMsg {
 /// A service that answers control messages.
 ///
 /// Implementors dispatch on [`ControlMsg`]; transports (including the
-/// in-process one used by [`crate::agent::HostAgent`]) call
-/// [`ControlPlane::handle_control_frame`], so every flow round-trips
-/// through the serialized envelope even when no network sits in between —
-/// the wire format is exercised on every call, not only in the simulator.
+/// in-process [`ControlTransport`] every `&impl ControlPlane` is) hand
+/// them serialized frames, so every flow round-trips through the envelope
+/// even when no network sits in between — the wire format is exercised on
+/// every call, not only in the simulator.
 pub trait ControlPlane {
     /// Handles one typed control message; returns the reply to send back,
     /// if the kind has one.
@@ -543,6 +544,88 @@ pub trait ControlPlane {
         frames
             .iter()
             .map(|f| self.handle_control_frame(f, now))
+            .collect()
+    }
+}
+
+/// The AS service a host's control message is addressed to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Service {
+    /// The Management Service of the host's own AS (EphID issuance).
+    Ms,
+    /// The accountability agent of an AS (shut-off).
+    Aa(Aid),
+    /// The DNS zone an AS serves (publication).
+    Dns(Aid),
+}
+
+/// A reply a [`ControlTransport`] brought back, with the protocol time at
+/// which its slot finished.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ControlReply {
+    /// The service's reply.
+    pub msg: ControlMsg,
+    /// When the exchange for this slot completed.
+    pub at: Timestamp,
+}
+
+/// How a host's control messages reach AS services, and their replies come
+/// back. It owns no clock and no socket: each exchange starts no earlier
+/// than the caller's `now`, and every reply says when its slot finished.
+/// [`crate::agent::HostAgent`] writes each host intent once over this
+/// trait; a `&impl ControlPlane` is the in-process transport and a
+/// `&mut apna_simnet::Network` the packetized one.
+pub trait ControlTransport {
+    /// Sends `msgs` from `host` to `to` as one burst and returns one
+    /// outcome per message, in order. A transport that sends slot by slot
+    /// stops at the first outcome that aborts the intent — an error or a
+    /// [`ControlMsg::EphIdBusy`] — and sends nothing for the later slots.
+    fn burst(
+        &mut self,
+        host: &mut Host,
+        to: Service,
+        msgs: &[ControlMsg],
+        now: Timestamp,
+    ) -> Vec<Result<ControlReply, Error>>;
+
+    /// Sends one message from `host` to `to` and returns its reply.
+    fn call(
+        &mut self,
+        host: &mut Host,
+        to: Service,
+        msg: &ControlMsg,
+        now: Timestamp,
+    ) -> Result<ControlReply, Error> {
+        let outcome = self.burst(host, to, std::slice::from_ref(msg), now).pop();
+        outcome.unwrap_or(Err(Error::ControlRejected(
+            "burst ended without an outcome",
+        )))
+    }
+}
+
+/// The in-process transport: every exchange, single or burst, is one
+/// [`ControlPlane::handle_control_batch`] on this plane at the caller's
+/// `now`, whatever [`Service`] it names (the caller picks the plane that
+/// runs that service). Frames still cross the serialized envelope both
+/// ways.
+impl<C: ControlPlane + ?Sized> ControlTransport for &C {
+    fn burst(
+        &mut self,
+        _host: &mut Host,
+        _to: Service,
+        msgs: &[ControlMsg],
+        now: Timestamp,
+    ) -> Vec<Result<ControlReply, Error>> {
+        let frames: Vec<Vec<u8>> = msgs.iter().map(ControlMsg::serialize).collect();
+        let refs: Vec<&[u8]> = frames.iter().map(Vec::as_slice).collect();
+        let reply = |frame: Result<Option<Vec<u8>>, Error>| -> Result<ControlReply, Error> {
+            let frame = frame?.ok_or(Error::ControlRejected("service produced no reply"))?;
+            let msg = ControlMsg::parse(&frame)?;
+            Ok(ControlReply { msg, at: now })
+        };
+        self.handle_control_batch(&refs, now)
+            .into_iter()
+            .map(reply)
             .collect()
     }
 }

@@ -197,9 +197,14 @@ impl IvAllocator {
     }
 
     /// Returns the next unique IV. Panics on exhaustion of the 2³² space
-    /// (key rotation must happen long before).
+    /// (key rotation must happen long before), on this call and every later
+    /// one: the counter stays at `u32::MAX` instead of wrapping to IVs
+    /// already handed out.
     pub fn next_iv(&self) -> [u8; 4] {
-        let v = self.next.fetch_add(1, Ordering::Relaxed);
+        // `Err` carries the unchanged counter: `u32::MAX`, exhausted.
+        let (Ok(v) | Err(v)) = self
+            .next
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| v.checked_add(1));
         assert!(v != u32::MAX, "IV space exhausted; rotate k_A");
         v.to_be_bytes()
     }
@@ -220,6 +225,19 @@ impl IvAllocator {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Exhaustion is sticky: the last IV comes out once, then every call
+    /// panics and the counter never wraps back to IVs already issued.
+    #[test]
+    fn iv_allocator_never_wraps() {
+        let ivs = IvAllocator::starting_at(u32::MAX - 1);
+        assert_eq!(ivs.next_iv(), (u32::MAX - 1).to_be_bytes());
+        for _ in 0..3 {
+            let call = std::panic::catch_unwind(|| ivs.next_iv());
+            assert!(call.is_err(), "an exhausted allocator must panic");
+            assert_eq!(ivs.issued(), u32::MAX);
+        }
+    }
 
     fn keys() -> AsKeys {
         AsKeys::from_seed(&[42u8; 32])

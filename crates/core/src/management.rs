@@ -26,6 +26,12 @@ use apna_crypto::aes::Aes128;
 use apna_wire::{EphIdBytes, WireError, EPHID_LEN};
 use std::sync::Arc;
 
+/// The top bit of the first nonce byte tells the two directions apart:
+/// hosts send requests with it clear, and the MS seals its reply under the
+/// request nonce with it set, so a reply nonce never repeats a request
+/// nonce under the same `k_HA`.
+const REPLY_NONCE_BIT: u8 = 0x80;
+
 /// Body of an EphID request, sealed under `k_HA^enc` on the wire.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EphIdRequestBody {
@@ -272,11 +278,10 @@ impl ManagementService {
             now,
         );
 
-        // Seal the certificate back to the host. The reply nonce must not
-        // collide with any request nonce under the same key: flip the top
-        // bit of the request nonce (hosts always send it clear).
+        // Seal the certificate back to the host under the request nonce
+        // with the reply bit set.
         let mut reply_nonce = req.nonce;
-        reply_nonce[0] |= 0x80;
+        reply_nonce[0] |= REPLY_NONCE_BIT;
         let sealed = aead.seal(&reply_nonce, req.ctrl_ephid.as_bytes(), &cert.serialize());
         Ok(EphIdReply {
             nonce: reply_nonce,
@@ -312,6 +317,7 @@ impl ManagementService {
 /// Fig. 3). Free functions so `Host` and the gateway AP can share them.
 pub mod client {
     use super::*;
+    use crate::control::ControlMsg;
     use crate::keys::{EphIdKeyPair, HostAsKey};
 
     /// Builds an encrypted EphID request. The host must ensure `nonce`
@@ -345,7 +351,7 @@ pub mod client {
         nonce: [u8; 12],
     ) -> EphIdRequest {
         let mut nonce = nonce;
-        nonce[0] &= 0x7f; // reserve the top bit for MS replies
+        nonce[0] &= !REPLY_NONCE_BIT;
         let body = EphIdRequestBody {
             sign_pub,
             dh_pub,
@@ -359,6 +365,28 @@ pub mod client {
             ctrl_ephid,
             nonce,
             sealed,
+        }
+    }
+
+    /// The nonce of the request an issuance reply answers: an
+    /// [`EphIdReply`] carries it with the reply bit set, an `EphIdBusy`
+    /// echoes it verbatim. `None` for every other kind.
+    #[must_use]
+    pub fn request_nonce(reply: &ControlMsg) -> Option<[u8; 12]> {
+        match reply {
+            ControlMsg::EphIdReply(r) => {
+                let mut nonce = r.nonce;
+                nonce[0] &= !REPLY_NONCE_BIT;
+                Some(nonce)
+            }
+            ControlMsg::EphIdBusy(b) => Some(b.nonce),
+            ControlMsg::EphIdRequest(_)
+            | ControlMsg::RevocationAnnounce(_)
+            | ControlMsg::ShutoffRequest(_)
+            | ControlMsg::ShutoffAck(_)
+            | ControlMsg::DnsRegister(_)
+            | ControlMsg::DnsUpdate(_)
+            | ControlMsg::DnsAck { .. } => None,
         }
     }
 
@@ -607,6 +635,37 @@ mod tests {
         let parsed = EphIdReply::parse(&reply.serialize()).unwrap();
         assert_eq!(parsed, reply);
         assert_eq!(EphIdReply::parse(&[0u8; 12]), Err(WireError::Truncated));
+    }
+
+    /// `client::request_nonce` inverts the MS's own reply nonce, for a
+    /// request whose first nonce byte the client had to clear, and reads a
+    /// busy pushback's echo verbatim.
+    #[test]
+    fn request_nonce_pairs_replies_the_service_built() {
+        use crate::control::{ControlMsg, ControlPlane};
+        use crate::hostinfo::IssuancePolicy;
+        let f = setup();
+        let (_, req) = request(&f, 0xC3);
+        assert_eq!(req.nonce[0], 0x43);
+        let reply = f.node.ms.handle_request(&req, Timestamp(0)).unwrap();
+        assert_ne!(reply.nonce, req.nonce);
+        let reply = ControlMsg::EphIdReply(reply);
+        assert_eq!(client::request_nonce(&reply), Some(req.nonce));
+
+        let policy = IssuancePolicy {
+            burst: 0,
+            per_sec: 1,
+        };
+        f.node.infra.host_db.set_issuance_policy(Some(policy));
+        let (_, req) = request(&f, 0x5A);
+        let busy = f
+            .node
+            .handle_control(&ControlMsg::EphIdRequest(req.clone()), Timestamp(0))
+            .unwrap()
+            .unwrap();
+        assert!(matches!(busy, ControlMsg::EphIdBusy(_)), "{busy:?}");
+        assert_eq!(client::request_nonce(&busy), Some(req.nonce));
+        assert_eq!(client::request_nonce(&ControlMsg::EphIdRequest(req)), None);
     }
 
     #[test]

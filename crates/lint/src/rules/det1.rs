@@ -33,12 +33,14 @@ use std::collections::BTreeSet;
 /// See module docs.
 pub struct Det1;
 
-/// The files besides `crates/simnet/src/` in scope: the daemon cores and
-/// the service dispatch the border core shares with the simulator.
-const CORE_FILES: [&str; 3] = [
+/// The files besides `crates/simnet/src/` in scope: the daemon cores, the
+/// service dispatch the border core shares with the simulator, and the
+/// host intents the simulator runs over its network.
+const CORE_FILES: [&str; 4] = [
     "crates/core/src/deploy.rs",
     "crates/core/src/asnode.rs",
     "crates/gateway/src/daemon.rs",
+    "crates/core/src/agent.rs",
 ];
 
 /// Socket types and printing macros: I/O that belongs to a daemon's
@@ -355,6 +357,7 @@ mod tests {
         }
         assert!(CORE_FILES.iter().all(|path| Det1.applies_to(path)));
         assert!(Det1.applies_to("crates/core/src/asnode.rs"));
+        assert!(Det1.applies_to("crates/core/src/agent.rs"));
         assert!(!Det1.applies_to("src/daemon.rs"));
         assert!(!Det1.applies_to("crates/core/src/border.rs"));
     }

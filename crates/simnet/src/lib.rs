@@ -29,7 +29,10 @@
 //!   ISP-like hierarchy).
 //! * [`network`] — the event loop tying [`apna_core::AsNode`]s together:
 //!   packets traverse source BR egress → transit ASes → destination BR
-//!   ingress → host delivery, with every verdict observable.
+//!   ingress → host delivery, with every verdict observable. `Network` is
+//!   also the packetized [`apna_core::control::ControlTransport`]: a
+//!   `HostAgent`'s intents run over it with retries and per-slot burst
+//!   fallback.
 //! * [`linerate`] — the analytic line-rate model used to reproduce Fig. 8
 //!   (throughput vs. packet size on a 120 Gbps box).
 //!

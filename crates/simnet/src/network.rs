@@ -19,15 +19,17 @@ use crate::clock::SimTime;
 use crate::event::EventQueue;
 use crate::link::{Link, LinkOutcome};
 use crate::topology::Topology;
-use apna_core::agent::{EphIdUsage, HostAgent};
 use apna_core::border::{DropCounters, DropReason, Verdict};
-use apna_core::control::{ControlCounters, ControlKind, ControlMsg, ControlPlane, ShutoffAck};
+use apna_core::control::{
+    ControlCounters, ControlKind, ControlMsg, ControlPlane, ControlReply, ControlTransport, Service,
+};
 use apna_core::deploy::BorderCore;
 use apna_core::directory::AsDirectory;
-use apna_core::granularity::SlotDecision;
+use apna_core::host::Host;
+use apna_core::management::client as ms_client;
+use apna_core::time::Timestamp;
 use apna_core::{AsNode, Error, Hid};
 use apna_dns::DnsServer;
-use apna_wire::ipv4::Ipv4Addr;
 use apna_wire::{Aid, ApnaHeader, EphIdBytes, HostAddr, ReplayMode};
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 
@@ -128,9 +130,9 @@ pub struct NetStats {
     pub control_retries: ControlCounters,
     /// Control RPCs that exhausted their retry budget or deadline.
     pub control_rpc_failures: u64,
-    /// `EphIdBusy` pushbacks received by [`Network::control_rpc`] or
-    /// [`Network::agent_acquire_many`] — issuance admission control
-    /// telling a host to back off.
+    /// `EphIdBusy` pushbacks received by [`Network::control_rpc`] or in a
+    /// request burst — issuance admission control telling a host to back
+    /// off.
     pub control_busy: u64,
     /// Extra packet copies created by link-level duplication.
     pub link_duplicated: u64,
@@ -923,7 +925,7 @@ impl Network {
         self.control_log = Vec::new();
     }
 
-    /// Sends one control message from `agent` to the service at `dst` as a
+    /// Sends one control message from `host` to the service at `dst` as a
     /// real packet, runs the network to quiescence, and returns the parsed
     /// reply. Transport losses (a request or reply dropped by faults or an
     /// on-path adversary) are recovered by resending under the request
@@ -934,17 +936,14 @@ impl Network {
     /// surface immediately as their typed error.
     pub fn control_rpc(
         &mut self,
-        agent: &mut HostAgent,
+        host: &mut Host,
         dst: HostAddr,
         msg: &ControlMsg,
     ) -> Result<ControlMsg, Error> {
         // A "reply" sitting in the inbox before the request is even sent
         // is by definition stale — an adversary's replay of an earlier
         // exchange. Purge those so they cannot be matched to this RPC.
-        let (ctrl, _) = agent.control_ephid();
-        let mode = self.replay_mode;
-        self.inboxes
-            .retain(|d| !Self::matches_control_reply(&d.bytes, mode, ctrl, dst));
+        self.purge_control_replies(host, dst);
 
         let kind = msg.kind();
         let policy = *self.retry_policy.policy_for(kind);
@@ -964,7 +963,7 @@ impl Network {
             // A retryable failure leaves `busy` holding the typed pushback
             // (when that is what came back) and `wait_floor_us` the minimum
             // wait before resending.
-            let (busy, wait_floor_us) = match self.control_rpc_once(agent, dst, msg) {
+            let (busy, wait_floor_us) = match self.control_rpc_once(host, dst, msg) {
                 Ok(ControlMsg::EphIdBusy(b)) if kind == ControlKind::EphIdRequest => {
                     // Issuance admission control said "not now": retryable,
                     // with the service's own hint as the wait floor.
@@ -1026,18 +1025,29 @@ impl Network {
             .unwrap_or(false)
     }
 
+    /// Drops every inbox entry that looks like a reply from `service` to
+    /// `host`'s control EphID and returns them.
+    fn purge_control_replies(&mut self, host: &Host, service: HostAddr) -> Vec<DeliveredPacket> {
+        let (ctrl, _) = host.control_ephid();
+        let mode = self.replay_mode;
+        let (replies, rest) = std::mem::take(&mut self.inboxes)
+            .into_iter()
+            .partition(|d| Self::matches_control_reply(&d.bytes, mode, ctrl, service));
+        self.inboxes = rest;
+        replies
+    }
+
     /// One send + reply-match attempt of [`Network::control_rpc`].
     fn control_rpc_once(
         &mut self,
-        agent: &mut HostAgent,
+        host: &mut Host,
         dst: HostAddr,
         msg: &ControlMsg,
     ) -> Result<ControlMsg, RpcFailure> {
-        let src_aid = agent.aid;
         // Rebuilt per attempt: under the nonce extension every resend must
         // carry a fresh header nonce.
-        let wire = agent.build_control_packet(dst, msg);
-        let id = self.send(src_aid, wire);
+        let wire = host.build_ctrl_packet(dst, &msg.serialize());
+        let id = self.send(host.aid, wire);
         self.run();
         match self.fate(id) {
             Some(PacketFate::Delivered { .. }) => {}
@@ -1056,7 +1066,7 @@ impl Network {
             }
             _ => return Err(RpcFailure::Transport),
         }
-        let (ctrl, _) = agent.control_ephid();
+        let (ctrl, _) = host.control_ephid();
         let mode = self.replay_mode;
         loop {
             let pos = self
@@ -1067,7 +1077,7 @@ impl Network {
                 return Err(RpcFailure::Transport);
             };
             let delivered = self.inboxes.remove(pos);
-            match agent.receive_packet(&delivered.bytes) {
+            match host.receive_packet(&delivered.bytes) {
                 Ok((_header, payload)) => {
                     return ControlMsg::parse(payload)
                         .map_err(|e| RpcFailure::Fatal(Error::Wire(e)));
@@ -1079,240 +1089,122 @@ impl Network {
         }
     }
 
-    /// Packetized EphID acquisition: [`HostAgent::acquire`], but with the
-    /// request and reply crossing the simulated network.
-    pub fn agent_acquire(
-        &mut self,
-        agent: &mut HostAgent,
-        usage: EphIdUsage,
-    ) -> Result<usize, Error> {
-        let now = self.now.as_protocol_time();
-        let (pending, msg) = agent.begin_acquire(usage);
-        let dst = HostAddr::new(agent.aid, agent.ms_cert.ephid);
-        let reply = self.control_rpc(agent, dst, &msg)?;
-        agent.complete_acquire(pending, &reply, now)
+    /// Where `to` listens: the host's own MS, or the AA / DNS endpoint of
+    /// the named AS.
+    fn service_addr(&self, host: &Host, to: Service) -> Result<HostAddr, Error> {
+        let (aid, endpoint) = match to {
+            Service::Ms => return Ok(HostAddr::new(host.aid, host.ms_cert.ephid)),
+            Service::Aa(aid) => (aid, self.try_node(aid).map(|n| n.aa_endpoint.ephid)),
+            Service::Dns(aid) => (aid, self.try_node(aid).map(|n| n.dns_endpoint.ephid)),
+        };
+        let endpoint = endpoint.ok_or(Error::ControlRejected("no such service AS"))?;
+        Ok(HostAddr::new(aid, endpoint))
     }
 
-    /// Packetized **batched** EphID acquisition: begins every acquisition,
-    /// sends the requests as one burst (one egress batch on the wire, one
-    /// service-side `handle_control_batch` — the pipelined issuance path),
-    /// and completes each from its matched reply. Replies pair to requests
-    /// by the MS nonce discipline: an issuance reply echoes its request
-    /// nonce with the top bit set, a busy pushback echoes it verbatim.
-    /// Requests whose reply was lost in transit fall back to the retried
-    /// scalar [`Network::control_rpc`], so lossy links degrade gracefully
-    /// instead of failing the whole batch.
-    pub fn agent_acquire_many(
+    /// A host never sends before it decided to: an exchange the host
+    /// starts at `now` leaves at the later of `now` and the network clock.
+    fn start_at(&mut self, now: Timestamp) {
+        self.now = self.now.max(SimTime::from_secs(u64::from(now.0)));
+    }
+}
+
+/// The packetized transport: each host intent's messages cross the
+/// simulated network as accountable packets — visible to the wiretap,
+/// counted in [`NetStats`], subject to every data-plane check — and every
+/// reply is stamped with the network clock when its slot finished.
+impl ControlTransport for &mut Network {
+    /// One [`Network::control_rpc`]: lost requests or replies are resent
+    /// in place under the request kind's retry policy.
+    fn call(
         &mut self,
-        agent: &mut HostAgent,
-        usages: &[EphIdUsage],
-    ) -> Result<Vec<usize>, Error> {
-        if usages.is_empty() {
-            return Ok(Vec::new());
+        host: &mut Host,
+        to: Service,
+        msg: &ControlMsg,
+        now: Timestamp,
+    ) -> Result<ControlReply, Error> {
+        let dst = self.service_addr(host, to)?;
+        self.start_at(now);
+        let msg = self.control_rpc(host, dst, msg)?;
+        Ok(ControlReply {
+            msg,
+            at: self.now.as_protocol_time(),
+        })
+    }
+
+    /// Sends the requests as one burst (one egress batch on the wire, one
+    /// service-side `handle_control_batch` — the pipelined issuance path)
+    /// and pairs each reply with its request by issuance nonce
+    /// ([`ms_client::request_nonce`]). A slot whose reply was lost, could
+    /// not be paired, or was an `EphIdBusy` pushback (after waiting out
+    /// its hint) falls back to the retried [`Network::control_rpc`], in
+    /// slot order, so lossy links degrade gracefully instead of failing
+    /// the whole burst.
+    fn burst(
+        &mut self,
+        host: &mut Host,
+        to: Service,
+        msgs: &[ControlMsg],
+        now: Timestamp,
+    ) -> Vec<Result<ControlReply, Error>> {
+        if msgs.is_empty() {
+            return Vec::new();
         }
-        let dst = HostAddr::new(agent.aid, agent.ms_cert.ephid);
-        let (ctrl, _) = agent.control_ephid();
-        let mode = self.replay_mode;
+        let dst = match self.service_addr(host, to) {
+            Ok(dst) => dst,
+            Err(e) => return vec![Err(e)],
+        };
+        self.start_at(now);
         // Purge stale pre-existing "replies" (adversary replays of earlier
         // exchanges), as the scalar RPC does.
-        self.inboxes
-            .retain(|d| !Self::matches_control_reply(&d.bytes, mode, ctrl, dst));
-
-        // Begin every acquisition and build the request burst.
-        let mut in_flight = Vec::with_capacity(usages.len());
-        let mut wires = Vec::with_capacity(usages.len());
-        for &usage in usages {
-            let (pending, msg) = agent.begin_acquire(usage);
-            let ControlMsg::EphIdRequest(req) = &msg else {
-                return Err(Error::ControlRejected("begin_acquire built a non-request"));
-            };
-            let nonce = req.nonce;
-            wires.push(agent.build_control_packet(dst, &msg));
-            in_flight.push((pending, nonce, msg));
-        }
-        self.send_batch(agent.aid, wires);
+        self.purge_control_replies(host, dst);
+        let wires = msgs
+            .iter()
+            .map(|msg| host.build_ctrl_packet(dst, &msg.serialize()))
+            .collect();
+        self.send_batch(host.aid, wires);
         self.run();
 
-        // Drain and parse every reply addressed to our control EphID.
-        let (arrived, rest): (Vec<_>, Vec<_>) = std::mem::take(&mut self.inboxes)
-            .into_iter()
-            .partition(|d| Self::matches_control_reply(&d.bytes, mode, ctrl, dst));
-        self.inboxes = rest;
-        let mut matched: Vec<([u8; 12], ControlMsg)> = Vec::new();
-        for delivered in arrived {
+        let mut paired: Vec<([u8; 12], ControlMsg)> = Vec::new();
+        for delivered in self.purge_control_replies(host, dst) {
             // A failed receive is a duplicated copy the host's replay
             // window already absorbed — skip it.
-            let Ok((_header, payload)) = agent.receive_packet(&delivered.bytes) else {
+            let Ok((_header, payload)) = host.receive_packet(&delivered.bytes) else {
                 continue;
             };
             let Ok(reply) = ControlMsg::parse(payload) else {
                 continue;
             };
-            let req_nonce = match &reply {
-                ControlMsg::EphIdReply(r) => {
-                    let mut n = r.nonce;
-                    n[0] &= 0x7f; // the MS set the top bit; clear it back
-                    Some(n)
+            if let Some(nonce) = ms_client::request_nonce(&reply) {
+                paired.push((nonce, reply));
+            }
+        }
+
+        let mut out = Vec::with_capacity(msgs.len());
+        for msg in msgs {
+            let hit = paired
+                .iter()
+                .position(|(n, _)| matches!(msg, ControlMsg::EphIdRequest(req) if req.nonce == *n));
+            let reply = match hit.map(|pos| paired.swap_remove(pos).1) {
+                Some(ControlMsg::EphIdBusy(busy)) => {
+                    self.stats.control_busy += 1;
+                    let floor = u64::from(busy.retry_after_secs).saturating_mul(1_000_000);
+                    self.advance_to(self.now.add_micros(floor));
+                    self.control_rpc(host, dst, msg)
                 }
-                ControlMsg::EphIdBusy(b) => Some(b.nonce),
-                ControlMsg::EphIdRequest(_)
-                | ControlMsg::RevocationAnnounce(_)
-                | ControlMsg::ShutoffRequest(_)
-                | ControlMsg::ShutoffAck(_)
-                | ControlMsg::DnsRegister(_)
-                | ControlMsg::DnsUpdate(_)
-                | ControlMsg::DnsAck { .. } => None,
+                Some(reply) => Ok(reply),
+                None => self.control_rpc(host, dst, msg),
             };
-            if let Some(n) = req_nonce {
-                matched.push((n, reply));
+            // The burst ends at the first slot that aborts the intent.
+            let aborts = reply
+                .as_ref()
+                .map_or(true, |m| matches!(m, ControlMsg::EphIdBusy(_)));
+            let at = self.now.as_protocol_time();
+            out.push(reply.map(|msg| ControlReply { msg, at }));
+            if aborts {
+                break;
             }
         }
-
-        // Complete in request order; fall back to the scalar RPC for any
-        // request whose reply never arrived — or whose slot in the batch
-        // was refused with an `EphIdBusy` pushback, so the retried path's
-        // backoff (floored at the advertised `retry_after_secs`) absorbs
-        // transient rate-limit pressure instead of failing the batch.
-        let mut indices = Vec::with_capacity(in_flight.len());
-        for (pending, nonce, msg) in in_flight {
-            let reply = match matched.iter().position(|(n, _)| *n == nonce) {
-                Some(pos) => match matched.swap_remove(pos).1 {
-                    ControlMsg::EphIdBusy(b) => {
-                        self.stats.control_busy += 1;
-                        let floor = u64::from(b.retry_after_secs).saturating_mul(1_000_000);
-                        self.advance_to(self.now.add_micros(floor));
-                        self.control_rpc(agent, dst, &msg)?
-                    }
-                    reply => reply,
-                },
-                None => self.control_rpc(agent, dst, &msg)?,
-            };
-            let now = self.now.as_protocol_time();
-            indices.push(agent.complete_acquire(pending, &reply, now)?);
-        }
-        Ok(indices)
-    }
-
-    /// Packetized flow-to-EphID mapping: [`HostAgent::ephid_for`] with
-    /// acquisitions crossing the network. Pool decisions stay local; only
-    /// the acquisition goes on the wire.
-    pub fn agent_ephid_for(
-        &mut self,
-        agent: &mut HostAgent,
-        flow: u64,
-        app: u16,
-    ) -> Result<usize, Error> {
-        match agent.pool_slot_for(flow, app) {
-            SlotDecision::Reuse(idx) => Ok(idx),
-            SlotDecision::NeedNew(key) => {
-                let idx = self.agent_acquire(agent, EphIdUsage::DATA_SHORT)?;
-                agent.pool_install(key, idx);
-                Ok(idx)
-            }
-        }
-    }
-
-    /// Packetized EphID rotation: [`HostAgent::refresh_expiring`] with the
-    /// replacement acquisitions crossing the simulated network (with
-    /// retries). Every pooled data EphID expiring within the agent's
-    /// refresh margin of the current *simulated* time is replaced and its
-    /// flows repointed — this is what a host's clock tick runs, and what
-    /// the scenario driver wires into periodic ticks.
-    pub fn agent_refresh_expiring(&mut self, agent: &mut HostAgent) -> Result<usize, Error> {
-        let now = self.now.as_protocol_time();
-        let stale = agent.refresh_candidates(now);
-        if stale.is_empty() {
-            return Ok(0);
-        }
-        // Acquire before evicting, as in the direct-transport path: a
-        // failed issuance leaves every flow→EphID mapping intact. The
-        // whole rotation wave goes out as ONE request burst.
-        let usages = vec![EphIdUsage::DATA_SHORT; stale.len()];
-        let fresh = self.agent_acquire_many(agent, &usages)?;
-        for (&old_idx, &new_idx) in stale.iter().zip(&fresh) {
-            agent.repoint_index(old_idx, new_idx);
-        }
-        Ok(stale.len())
-    }
-
-    /// Packetized shut-off: sends the request to the accountability agent
-    /// at `aa` (the source AS's AA endpoint) and returns the ack.
-    pub fn agent_shutoff(
-        &mut self,
-        agent: &mut HostAgent,
-        aa: HostAddr,
-        evidence: &[u8],
-        owned_idx: usize,
-    ) -> Result<ShutoffAck, Error> {
-        let msg = agent.shutoff_request(evidence, owned_idx);
-        match self.control_rpc(agent, aa, &msg)? {
-            ControlMsg::ShutoffAck(ack) => Ok(ack),
-            ControlMsg::EphIdRequest(_)
-            | ControlMsg::EphIdReply(_)
-            | ControlMsg::EphIdBusy(_)
-            | ControlMsg::RevocationAnnounce(_)
-            | ControlMsg::ShutoffRequest(_)
-            | ControlMsg::DnsRegister(_)
-            | ControlMsg::DnsUpdate(_)
-            | ControlMsg::DnsAck { .. } => Err(Error::ControlRejected("expected a shutoff ack")),
-        }
-    }
-
-    /// Packetized DNS publication: registers the owned EphID at
-    /// `owned_idx` under `name` with the DNS zone attached to `zone_aid`
-    /// (§VII-A task 2 as a network flow). The message carries the owner
-    /// signature the zone's proof-of-possession check requires.
-    pub fn agent_dns_register(
-        &mut self,
-        agent: &mut HostAgent,
-        zone_aid: Aid,
-        name: &str,
-        owned_idx: usize,
-        ipv4: Option<Ipv4Addr>,
-    ) -> Result<(), Error> {
-        let msg = agent.dns_register_msg(name, owned_idx, ipv4);
-        self.dns_rpc(agent, zone_aid, name, &msg)
-    }
-
-    /// Packetized DNS rotation: re-publishes `name` with `new_idx`'s
-    /// certificate, authorized by the currently published EphID at
-    /// `current_idx` (the zone's continuity check).
-    pub fn agent_dns_update(
-        &mut self,
-        agent: &mut HostAgent,
-        zone_aid: Aid,
-        name: &str,
-        new_idx: usize,
-        current_idx: usize,
-        ipv4: Option<Ipv4Addr>,
-    ) -> Result<(), Error> {
-        let msg = agent.dns_update_msg(name, new_idx, current_idx, ipv4);
-        self.dns_rpc(agent, zone_aid, name, &msg)
-    }
-
-    fn dns_rpc(
-        &mut self,
-        agent: &mut HostAgent,
-        zone_aid: Aid,
-        name: &str,
-        msg: &ControlMsg,
-    ) -> Result<(), Error> {
-        let zone = self
-            .try_node(zone_aid)
-            .ok_or(Error::ControlRejected("no such zone AS"))?;
-        let dst = HostAddr::new(zone_aid, zone.dns_endpoint.ephid);
-        match self.control_rpc(agent, dst, msg)? {
-            ControlMsg::DnsAck { name: acked } if acked == name => Ok(()),
-            ControlMsg::DnsAck { .. }
-            | ControlMsg::EphIdRequest(_)
-            | ControlMsg::EphIdReply(_)
-            | ControlMsg::EphIdBusy(_)
-            | ControlMsg::RevocationAnnounce(_)
-            | ControlMsg::ShutoffRequest(_)
-            | ControlMsg::ShutoffAck(_)
-            | ControlMsg::DnsRegister(_)
-            | ControlMsg::DnsUpdate(_) => Err(Error::ControlRejected("expected a DNS ack")),
-        }
+        out
     }
 }
 
@@ -1320,6 +1212,7 @@ impl Network {
 mod tests {
     use super::*;
     use crate::link::FaultProfile;
+    use apna_core::agent::{EphIdUsage, HostAgent};
     use apna_core::granularity::Granularity;
     use apna_wire::{ApnaHeader, EphIdBytes, HostAddr};
 
@@ -1703,8 +1596,8 @@ mod tests {
     #[test]
     fn packetized_acquire_roundtrips_and_counts() {
         let (mut net, mut alice, _bob) = two_as_network();
-        let idx = net
-            .agent_acquire(&mut alice, EphIdUsage::DATA_SHORT)
+        let idx = alice
+            .acquire(&mut net, EphIdUsage::DATA_SHORT, Timestamp(0))
             .unwrap();
         assert_eq!(alice.ephid_count(), 1);
         let now = net.now().as_protocol_time();
@@ -1731,9 +1624,10 @@ mod tests {
     #[test]
     fn packetized_ephid_for_pools_like_direct() {
         let (mut net, mut alice, _bob) = two_as_network();
-        let i1 = net.agent_ephid_for(&mut alice, 1, 0).unwrap();
-        let i2 = net.agent_ephid_for(&mut alice, 1, 0).unwrap();
-        let i3 = net.agent_ephid_for(&mut alice, 2, 0).unwrap();
+        let t0 = Timestamp(0);
+        let i1 = alice.ephid_for(&mut net, 1, 0, t0).unwrap();
+        let i2 = alice.ephid_for(&mut net, 1, 0, t0).unwrap();
+        let i3 = alice.ephid_for(&mut net, 2, 0, t0).unwrap();
         assert_eq!(i1, i2, "same flow reuses the pooled EphID");
         assert_ne!(i1, i3, "new flow allocates under per-flow policy");
         assert_eq!(alice.pool_stats().0, 2);
@@ -1743,10 +1637,9 @@ mod tests {
     fn packetized_shutoff_revokes_at_source_as() {
         let (mut net, mut alice, mut bob) = two_as_network();
         net.enable_wiretap();
-        let ai = net
-            .agent_acquire(&mut alice, EphIdUsage::DATA_SHORT)
-            .unwrap();
-        let bi = net.agent_acquire(&mut bob, EphIdUsage::DATA_SHORT).unwrap();
+        let t0 = Timestamp(0);
+        let ai = alice.acquire(&mut net, EphIdUsage::DATA_SHORT, t0).unwrap();
+        let bi = bob.acquire(&mut net, EphIdUsage::DATA_SHORT, t0).unwrap();
         let dst = bob.owned_ephid(bi).addr(Aid(2));
         let wire = alice.build_raw_packet(ai, dst, b"unwanted");
         net.send(Aid(1), wire);
@@ -1755,8 +1648,10 @@ mod tests {
 
         // Bob files the shut-off with AS 1's accountability agent, as
         // packets across the inter-AS link.
-        let aa = HostAddr::new(Aid(1), net.node(Aid(1)).aa_endpoint.ephid);
-        let ack = net.agent_shutoff(&mut bob, aa, &evidence, bi).unwrap();
+        let now = net.now().as_protocol_time();
+        let ack = bob
+            .request_shutoff(&mut net, Aid(1), &evidence, bi, now)
+            .unwrap();
         assert_eq!(ack.ephid, alice.owned_ephid(ai).ephid());
         assert!(net.node(Aid(1)).infra.revoked.contains(&ack.ephid));
         assert_eq!(
@@ -1794,11 +1689,13 @@ mod tests {
         use apna_crypto::ed25519::SigningKey;
         let (mut net, mut alice, _bob) = two_as_network();
         net.attach_dns(Aid(2), DnsServer::new(SigningKey::from_seed(&[0xD7; 32])));
-        let ri = net
-            .agent_acquire(&mut alice, EphIdUsage::RECEIVE_ONLY)
+        let t0 = Timestamp(0);
+        let ri = alice
+            .acquire(&mut net, EphIdUsage::RECEIVE_ONLY, t0)
             .unwrap();
         let cert = alice.owned_ephid(ri).cert.clone();
-        net.agent_dns_register(&mut alice, Aid(2), "svc.example", ri, None)
+        alice
+            .dns_register(&mut net, Aid(2), "svc.example", ri, t0)
             .unwrap();
         let rec = net.dns(Aid(2)).unwrap().resolve("svc.example").unwrap();
         assert_eq!(rec.cert, cert);
@@ -1878,13 +1775,12 @@ mod tests {
                 per_sec: 1,
             }));
         // The first acquisition spends the lone burst token.
-        net.agent_acquire(&mut alice, EphIdUsage::DATA_SHORT)
-            .unwrap();
+        let t0 = Timestamp(0);
+        alice.acquire(&mut net, EphIdUsage::DATA_SHORT, t0).unwrap();
         // The second is refused with a typed `EphIdBusy`; the RPC backs
         // off (floored at the advertised retry_after) past the refill and
         // succeeds without the caller doing anything.
-        net.agent_acquire(&mut alice, EphIdUsage::DATA_SHORT)
-            .unwrap();
+        alice.acquire(&mut net, EphIdUsage::DATA_SHORT, t0).unwrap();
         assert_eq!(alice.ephid_count(), 2);
         assert!(net.stats.control_busy >= 1, "pushback not accounted");
         assert!(
@@ -1906,13 +1802,13 @@ mod tests {
                 burst: 1,
                 per_sec: 1,
             }));
-        net.agent_acquire(&mut alice, EphIdUsage::DATA_SHORT)
-            .unwrap();
+        let t0 = Timestamp(0);
+        alice.acquire(&mut net, EphIdUsage::DATA_SHORT, t0).unwrap();
         // With retries disabled the pushback reaches the caller typed —
         // the service *answered*, so this is not a transport timeout.
         net.retry_policy = RetryPolicies::single_shot();
-        let err = net
-            .agent_acquire(&mut alice, EphIdUsage::DATA_SHORT)
+        let err = alice
+            .acquire(&mut net, EphIdUsage::DATA_SHORT, t0)
             .unwrap_err();
         assert!(
             matches!(
@@ -1930,16 +1826,12 @@ mod tests {
     #[test]
     fn batched_acquire_matches_scalar_semantics() {
         let (mut net, mut alice, _bob) = two_as_network();
-        let idxs = net
-            .agent_acquire_many(
-                &mut alice,
-                &[
-                    EphIdUsage::DATA_SHORT,
-                    EphIdUsage::DATA_SHORT,
-                    EphIdUsage::RECEIVE_ONLY,
-                ],
-            )
-            .unwrap();
+        let usages = [
+            EphIdUsage::DATA_SHORT,
+            EphIdUsage::DATA_SHORT,
+            EphIdUsage::RECEIVE_ONLY,
+        ];
+        let idxs = alice.acquire_many(&mut net, &usages, Timestamp(0)).unwrap();
         assert_eq!(idxs.len(), 3);
         assert_eq!(alice.ephid_count(), 3);
         let mut sorted = idxs.clone();
@@ -1977,19 +1869,57 @@ mod tests {
             }));
         // Three requests against a 2-token bucket: the refused slot falls
         // back to the retried scalar RPC and completes after the refill.
-        let idxs = net
-            .agent_acquire_many(
-                &mut alice,
-                &[
-                    EphIdUsage::DATA_SHORT,
-                    EphIdUsage::DATA_SHORT,
-                    EphIdUsage::DATA_SHORT,
-                ],
-            )
-            .unwrap();
+        let usages = [EphIdUsage::DATA_SHORT; 3];
+        let idxs = alice.acquire_many(&mut net, &usages, Timestamp(0)).unwrap();
         assert_eq!(idxs.len(), 3);
         assert_eq!(alice.ephid_count(), 3);
         assert!(net.stats.control_busy >= 1, "pushback not accounted");
+    }
+
+    /// A burst stops at its first aborting slot. Only the first issuance
+    /// reply gets through: slot 0 completes from the burst, slot 1 times
+    /// out through the retried RPC, and slot 2 — whose request left in
+    /// the burst — gets no request of its own.
+    #[test]
+    fn batched_acquire_stops_at_the_first_timed_out_slot() {
+        use crate::adversary::FnAdversary;
+        let (mut net, mut alice, _bob) = two_as_network();
+        let mut replies = 0u32;
+        net.set_adversary(FnAdversary(move |f: &InterceptedFrame<'_>| {
+            if f.kind != FrameKind::Control(ControlKind::EphIdReply) {
+                return AdversaryAction::Pass;
+            }
+            replies += 1;
+            if replies == 1 {
+                AdversaryAction::Pass
+            } else {
+                AdversaryAction::Drop
+            }
+        }));
+        let usages = [EphIdUsage::DATA_SHORT; 3];
+        let err = alice
+            .acquire_many(&mut net, &usages, Timestamp(0))
+            .unwrap_err();
+        let attempts = RetryPolicy::default().max_attempts;
+        assert_eq!(err, Error::ControlTimeout { attempts });
+        assert_eq!(alice.ephid_count(), 1, "slot 0 completed first");
+
+        // Requests: the burst of 3, then `attempts` sends for slot 1.
+        let sends = 3 + u64::from(attempts);
+        let requests = net.stats.control_delivered.count(ControlKind::EphIdRequest);
+        assert_eq!(requests, sends);
+        // Every request was delivered and answered; every answer but the
+        // first was lost to the adversary. No other packet exists.
+        assert_eq!(net.stats.injected, 2 * sends);
+        let (mut delivered, mut lost) = (0, 0);
+        for id in 0..net.stats.injected {
+            match net.fate(id) {
+                Some(PacketFate::Delivered { .. }) => delivered += 1,
+                Some(PacketFate::LostOnLink { toward: Aid(1) }) => lost += 1,
+                other => panic!("packet {id}: unexpected fate {other:?}"),
+            }
+        }
+        assert_eq!((delivered, lost), (sends + 1, sends - 1));
     }
 
     #[test]
@@ -2064,19 +1994,25 @@ mod tests {
     }
 
     #[test]
-    fn dns_rpc_to_unknown_zone_is_rejected() {
+    fn control_to_unknown_service_as_is_rejected() {
         let (mut net, mut alice, _bob) = two_as_network();
-        let ri = net
-            .agent_acquire(&mut alice, EphIdUsage::RECEIVE_ONLY)
+        let t0 = Timestamp(0);
+        let ri = alice
+            .acquire(&mut net, EphIdUsage::RECEIVE_ONLY, t0)
             .unwrap();
-        let rejected = Err(Error::ControlRejected("no such zone AS"));
+        let rejected = Err(Error::ControlRejected("no such service AS"));
         assert_eq!(
-            net.agent_dns_register(&mut alice, Aid(9), "svc.example", ri, None),
+            alice.dns_register(&mut net, Aid(9), "svc.example", ri, t0),
             rejected
         );
         assert_eq!(
-            net.agent_dns_update(&mut alice, Aid(9), "svc.example", ri, ri, None),
+            alice.dns_update(&mut net, Aid(9), "svc.example", ri, ri, t0),
             rejected
         );
+        assert_eq!(
+            alice.request_shutoff(&mut net, Aid(9), b"evidence", ri, t0),
+            Err(Error::ControlRejected("no such service AS"))
+        );
+        assert_eq!(net.stats.injected, 2, "nothing left the host");
     }
 }

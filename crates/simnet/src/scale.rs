@@ -39,7 +39,7 @@ use apna_core::agent::{EphIdUsage, HostAgent};
 use apna_core::border::DropReason;
 use apna_core::control::ControlMsg;
 use apna_core::ephid;
-use apna_core::granularity::{Granularity, SlotDecision};
+use apna_core::granularity::Granularity;
 use apna_core::Error;
 use apna_wire::{Aid, ApnaHeader, EphIdBytes, HostAddr, ReplayMode};
 use std::collections::{HashMap, HashSet};
@@ -278,12 +278,10 @@ impl ScaleWorld {
         } else {
             &[EphIdUsage::DATA_LONG]
         };
-        let idxs = self.net.agent_acquire_many(&mut agent, usages)?;
+        let idxs = agent.acquire_many(&mut self.net, usages, now)?;
         let ri = idxs[0];
         if prewarm {
-            if let SlotDecision::NeedNew(key) = agent.pool_slot_for(0, 0) {
-                agent.pool_install(key, idxs[1]);
-            }
+            agent.prefill(0, 0, idxs[1]);
         }
         let addr = agent.owned_ephid(ri).addr(aid);
         self.recv_owner.insert(addr.ephid, h);
@@ -314,7 +312,8 @@ impl ScaleWorld {
         let agent = self.agents[src as usize]
             .as_mut()
             .expect("src materialized");
-        let idx = match self.net.agent_ephid_for(agent, u64::from(fi), 0) {
+        let now = self.net.now().as_protocol_time();
+        let idx = match agent.ephid_for(&mut self.net, u64::from(fi), 0, now) {
             Ok(idx) => idx,
             Err(_) => {
                 self.tallies.issuance_failures += 1;
@@ -343,7 +342,8 @@ impl ScaleWorld {
 
     fn host_tick(&mut self, h: u32, sim: &mut Simulator<ScaleWorld>) {
         if let Some(agent) = self.agents[h as usize].as_mut() {
-            match self.net.agent_refresh_expiring(agent) {
+            let now = self.net.now().as_protocol_time();
+            match agent.refresh_expiring(&mut self.net, now) {
                 Ok(n) => self.tallies.refreshes += n as u64,
                 Err(_) => self.tallies.issuance_failures += 1,
             }
@@ -367,7 +367,6 @@ impl ScaleWorld {
         };
         let f = self.flows[fi as usize];
         let src_aid = self.host_as[f.src as usize];
-        let aa = HostAddr::new(src_aid, self.net.node(src_aid).aa_endpoint.ephid);
         let owned_idx = ApnaHeader::parse(&evidence, self.cfg.replay_mode)
             .ok()
             .and_then(|(eh, _)| {
@@ -379,7 +378,8 @@ impl ScaleWorld {
         let victim = self.agents[f.dst as usize]
             .as_mut()
             .expect("receiver materialized");
-        match self.net.agent_shutoff(victim, aa, &evidence, owned_idx) {
+        let now = self.net.now().as_protocol_time();
+        match victim.request_shutoff(&mut self.net, src_aid, &evidence, owned_idx, now) {
             Ok(ack) => {
                 self.revoked.insert(ack.ephid, self.net.now().micros());
                 self.revoked_hosts.insert(f.src);

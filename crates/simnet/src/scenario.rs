@@ -297,12 +297,12 @@ impl Scenario {
             // The receive EphID is long-lived (24 h): receiver identity is
             // published out of band; what rotates at scale here is the
             // sender side, which is what the pool + refresh machinery owns.
-            let ri = net.agent_acquire(&mut agent, EphIdUsage::DATA_LONG)?;
+            let ri = agent.acquire(&mut net, EphIdUsage::DATA_LONG, now)?;
             let addr = agent.owned_ephid(ri).addr(aid);
             // Task 2 of §VII-A: publish the receive identity in the AS's
             // zone, over the wire, with proof of possession.
             let name = format!("h{h}.as{}.apna", aid.0);
-            net.agent_dns_register(&mut agent, aid, &name, ri, None)?;
+            agent.dns_register(&mut net, aid, &name, ri, now)?;
             recv_index.insert(addr.ephid, h);
             recv_addrs.push(addr);
             recv_idx.push(ri);
@@ -393,7 +393,8 @@ impl Scenario {
             // within the margin, over the wire, with retries.
             let mut tick_refreshes = 0usize;
             for agent in &mut self.agents {
-                tick_refreshes += self.net.agent_refresh_expiring(agent)?;
+                let now = self.net.now().as_protocol_time();
+                tick_refreshes += agent.refresh_expiring(&mut self.net, now)?;
             }
             acc.refreshes += tick_refreshes as u64;
 
@@ -409,14 +410,15 @@ impl Scenario {
                     for h in 0..self.agents.len() {
                         let aid = self.recv_addrs[h].aid;
                         let agent = &mut self.agents[h];
-                        let new_idx = self.net.agent_acquire(agent, EphIdUsage::DATA_LONG)?;
-                        self.net.agent_dns_update(
-                            agent,
+                        let now = self.net.now().as_protocol_time();
+                        let new_idx = agent.acquire(&mut self.net, EphIdUsage::DATA_LONG, now)?;
+                        agent.dns_update(
+                            &mut self.net,
                             aid,
                             &self.dns_names[h],
                             new_idx,
                             self.recv_idx[h],
-                            None,
+                            now,
                         )?;
                         // The new address is what the *zone* now serves —
                         // resolve it back out rather than trusting local
@@ -443,7 +445,6 @@ impl Scenario {
                 if let Some(evidence) = self.last_delivery.get(&0).cloned() {
                     let flow = &self.flows[0];
                     let src_aid = self.recv_addrs[flow.src].aid;
-                    let aa = HostAddr::new(src_aid, self.net.node(src_aid).aa_endpoint.ephid);
                     // The receiver signs with its receive EphID (index 0 in
                     // its owned list — the first acquisition in build()).
                     // §IV-E: the victim proves it owns the EphID the
@@ -456,7 +457,14 @@ impl Scenario {
                         .and_then(|(eh, _)| self.agents[flow.dst].owned_index_of(eh.dst.ephid))
                         .unwrap_or(self.recv_idx[flow.dst]);
                     let victim = &mut self.agents[flow.dst];
-                    let ack = self.net.agent_shutoff(victim, aa, &evidence, owned_idx)?;
+                    let now = self.net.now().as_protocol_time();
+                    let ack = victim.request_shutoff(
+                        &mut self.net,
+                        src_aid,
+                        &evidence,
+                        owned_idx,
+                        now,
+                    )?;
                     self.revoked.insert(ack.ephid);
                     acc.shutoff_ephid = Some(ack.ephid);
                     acc.log.push(format!("tick {tick}: shutoff acked"));
@@ -472,9 +480,8 @@ impl Scenario {
                     (fl.src, fl.dst, fl.flow_key)
                 };
                 let dst_addr = self.recv_addrs[dst];
-                let idx = self
-                    .net
-                    .agent_ephid_for(&mut self.agents[src], flow_key, 0)?;
+                let now = self.net.now().as_protocol_time();
+                let idx = self.agents[src].ephid_for(&mut self.net, flow_key, 0, now)?;
                 let mut payload = Vec::with_capacity(16);
                 payload.extend_from_slice(&(fi as u64).to_be_bytes());
                 payload.extend_from_slice(&tick.to_be_bytes());

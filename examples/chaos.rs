@@ -67,14 +67,12 @@ fn sweep_point(seed: u64, drop: f64, rpcs: u32) -> (u32, u64, u64) {
     for i in 0..rpcs {
         // Each round: a fresh receive-only EphID (intra-AS, clean) is
         // published to the cross-AS zone over the lossy link.
-        let ri = net
-            .agent_acquire(&mut alice, EphIdUsage::RECEIVE_ONLY)
+        let now = net.now().as_protocol_time();
+        let ri = alice
+            .acquire(&mut net, EphIdUsage::RECEIVE_ONLY, now)
             .expect("issuance is intra-AS and lossless here");
         let name = format!("svc-{i}.example");
-        if net
-            .agent_dns_register(&mut alice, Aid(2), &name, ri, None)
-            .is_ok()
-        {
+        if alice.dns_register(&mut net, Aid(2), &name, ri, now).is_ok() {
             ok += 1;
         }
     }

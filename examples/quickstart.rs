@@ -53,11 +53,11 @@ fn main() {
     // the Management Service as an actual packet (ControlMsg envelope over
     // the control EphID), and the sealed certificate comes back the same
     // way — counted per kind in the network's control stats.
-    let ai = net
-        .agent_acquire(&mut alice, EphIdUsage::DATA_SHORT)
+    let ai = alice
+        .acquire(&mut net, EphIdUsage::DATA_SHORT, now)
         .expect("alice EphID");
-    let bi = net
-        .agent_acquire(&mut bob, EphIdUsage::DATA_SHORT)
+    let bi = bob
+        .acquire(&mut net, EphIdUsage::DATA_SHORT, now)
         .expect("bob EphID");
     let alice_owned = alice.owned_ephid(ai);
     let bob_owned = bob.owned_ephid(bi);

@@ -10,7 +10,7 @@ use apna_core::granularity::Granularity;
 use apna_core::shutoff::ShutoffRequest;
 use apna_simnet::link::FaultProfile;
 use apna_simnet::{Network, PacketFate};
-use apna_wire::{Aid, HostAddr, ReplayMode};
+use apna_wire::{Aid, ReplayMode};
 
 fn main() {
     let mut net = Network::new(ReplayMode::Disabled);
@@ -71,9 +71,8 @@ fn main() {
     // accountability agent as a real control packet across the link.
     let delivered_bytes = net.take_delivered().pop().unwrap().bytes;
     assert_eq!(delivered_bytes, last_packet);
-    let aa_addr = HostAddr::new(Aid(1), net.node(Aid(1)).aa_endpoint.ephid);
-    let ack = net
-        .agent_shutoff(&mut victim, aa_addr, &delivered_bytes, vi)
+    let ack = victim
+        .request_shutoff(&mut net, Aid(1), &delivered_bytes, vi, now)
         .expect("legitimate shutoff accepted");
     println!(
         "AA at AS1 revoked EphID {:?} (HID revoked: {})",
@@ -110,7 +109,8 @@ fn main() {
     net.send(Aid(1), wire);
     net.run();
     let evidence = net.take_delivered().pop().unwrap().bytes;
-    net.agent_shutoff(&mut victim, aa_addr, &evidence, vi)
+    victim
+        .request_shutoff(&mut net, Aid(1), &evidence, vi, now)
         .unwrap();
     let dead = careful.build_raw_packet(f1, victim_addr, b"flow-1 again");
     let alive = careful.build_raw_packet(f2, victim_addr, b"flow-2 unaffected");

@@ -51,7 +51,8 @@ fn main() {
     // The zone runs at the server's AS; the registration crosses the
     // network as a DnsRegister control message and is acknowledged.
     net.attach_dns(Aid(200), DnsServer::new(SigningKey::from_seed(&[0xD1; 32])));
-    net.agent_dns_register(&mut server, Aid(200), "shop.example", recv_idx, None)
+    server
+        .dns_register(&mut net, Aid(200), "shop.example", recv_idx, now)
         .expect("zone accepts the record");
     println!(
         "server: published receive-only EphID {:?} as shop.example ({} control msgs on the wire)",

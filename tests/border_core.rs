@@ -41,7 +41,7 @@ fn mixed_burst(world: &mut BenchWorld) -> (Vec<Vec<u8>>, Vec<u8>) {
     frames.insert(3, hairpin.clone());
     let ms = HostAddr::new(world.node.aid(), world.host.ms_cert.ephid);
     let (_pending, request) = world.host.begin_acquire(EphIdUsage::DATA_SHORT);
-    frames.push(world.host.build_control_packet(ms, &request));
+    frames.push(world.host.build_ctrl_packet(ms, &request.serialize()));
     (frames, hairpin)
 }
 
@@ -150,7 +150,7 @@ fn decision_burst(node: &AsNode) -> Vec<Vec<u8>> {
     let ms = HostAddr::new(node.aid(), alice.ms_cert.ephid);
     for usage in [EphIdUsage::DATA_SHORT, EphIdUsage::RECEIVE_ONLY] {
         let (_pending, request) = alice.begin_acquire(usage);
-        frames.push(alice.build_control_packet(ms, &request));
+        frames.push(alice.build_ctrl_packet(ms, &request.serialize()));
     }
     frames
 }

@@ -21,7 +21,7 @@ use apna_simnet::adversary::{AdversaryAction, FrameKind, TargetedAdversary};
 use apna_simnet::link::FaultProfile;
 use apna_simnet::scenario::{Scenario, ScenarioConfig};
 use apna_simnet::{Network, PacketFate, RetryPolicies, RetryPolicy};
-use apna_wire::{Aid, HostAddr, ReplayMode};
+use apna_wire::{Aid, ReplayMode};
 
 const SEEDS: [u64; 5] = [1, 7, 42, 1337, 0xC0FFEE];
 
@@ -62,8 +62,9 @@ fn dropped_ephid_reply_recovered_by_retry() {
             1,
         ));
         // Before retries existed, a dropped EphIdReply was unrecoverable.
-        let idx = net
-            .agent_acquire(&mut alice, EphIdUsage::DATA_SHORT)
+        let now = net.now().as_protocol_time();
+        let idx = alice
+            .acquire(&mut net, EphIdUsage::DATA_SHORT, now)
             .unwrap();
         assert_eq!(alice.ephid_count(), 1, "seed {seed}");
         alice
@@ -100,7 +101,9 @@ fn dropped_ephid_request_also_recovered() {
         AdversaryAction::Drop,
         2,
     ));
-    net.agent_acquire(&mut alice, EphIdUsage::DATA_SHORT)
+    let now = net.now().as_protocol_time();
+    alice
+        .acquire(&mut net, EphIdUsage::DATA_SHORT, now)
         .unwrap();
     assert_eq!(alice.ephid_count(), 1);
     assert_eq!(
@@ -126,15 +129,18 @@ fn adversary_outlasting_retry_budget_is_a_typed_timeout() {
         AdversaryAction::Drop,
         u32::MAX,
     ));
-    let err = net
-        .agent_acquire(&mut alice, EphIdUsage::DATA_SHORT)
+    let now = net.now().as_protocol_time();
+    let err = alice
+        .acquire(&mut net, EphIdUsage::DATA_SHORT, now)
         .unwrap_err();
     assert_eq!(err, Error::ControlTimeout { attempts: 4 });
     assert_eq!(alice.ephid_count(), 0, "no half-applied pool state");
     assert_eq!(net.stats.control_rpc_failures, 1);
     // The adversary relents; the next attempt succeeds cleanly.
     net.clear_adversary();
-    net.agent_acquire(&mut alice, EphIdUsage::DATA_SHORT)
+    let now = net.now().as_protocol_time();
+    alice
+        .acquire(&mut net, EphIdUsage::DATA_SHORT, now)
         .unwrap();
     assert_eq!(alice.ephid_count(), 1);
 }
@@ -158,7 +164,9 @@ fn delayed_ephid_reply_succeeds_without_retry() {
             },
             1,
         ));
-        net.agent_acquire(&mut alice, EphIdUsage::DATA_SHORT)
+        let now = net.now().as_protocol_time();
+        alice
+            .acquire(&mut net, EphIdUsage::DATA_SHORT, now)
             .unwrap();
         assert_eq!(alice.ephid_count(), 1);
         // Delay is absorbed by simulated time, not by resending.
@@ -188,11 +196,13 @@ fn replayed_ephid_reply_never_corrupts_the_pool() {
             },
             u32::MAX,
         ));
-        let i1 = net
-            .agent_acquire(&mut alice, EphIdUsage::DATA_SHORT)
+        let now = net.now().as_protocol_time();
+        let i1 = alice
+            .acquire(&mut net, EphIdUsage::DATA_SHORT, now)
             .unwrap();
-        let i2 = net
-            .agent_acquire(&mut alice, EphIdUsage::DATA_SHORT)
+        let now = net.now().as_protocol_time();
+        let i2 = alice
+            .acquire(&mut net, EphIdUsage::DATA_SHORT, now)
             .unwrap();
         assert_eq!(alice.ephid_count(), 2, "mode {mode:?}");
         assert_ne!(
@@ -202,8 +212,10 @@ fn replayed_ephid_reply_never_corrupts_the_pool() {
         );
         assert!(net.stats.adversary.replayed >= 2);
         // The pool policy still maps flows one-to-one.
-        let j1 = net.agent_ephid_for(&mut alice, 100, 0).unwrap();
-        let j2 = net.agent_ephid_for(&mut alice, 100, 0).unwrap();
+        let now = net.now().as_protocol_time();
+        let j1 = alice.ephid_for(&mut net, 100, 0, now).unwrap();
+        let now = net.now().as_protocol_time();
+        let j2 = alice.ephid_for(&mut net, 100, 0, now).unwrap();
         assert_eq!(j1, j2);
     }
 }
@@ -231,8 +243,9 @@ fn bit_flipped_ephid_reply_is_typed_error_then_clean_retry() {
         },
         1,
     ));
-    let err = net
-        .agent_acquire(&mut alice, EphIdUsage::DATA_SHORT)
+    let now = net.now().as_protocol_time();
+    let err = alice
+        .acquire(&mut net, EphIdUsage::DATA_SHORT, now)
         .unwrap_err();
     assert!(
         matches!(
@@ -244,7 +257,9 @@ fn bit_flipped_ephid_reply_is_typed_error_then_clean_retry() {
     assert_eq!(alice.ephid_count(), 0, "no wrong pool state");
     assert_eq!(net.stats.adversary.tampered, 1);
     // Budget spent: the next acquisition is untouched and succeeds.
-    net.agent_acquire(&mut alice, EphIdUsage::DATA_SHORT)
+    let now = net.now().as_protocol_time();
+    alice
+        .acquire(&mut net, EphIdUsage::DATA_SHORT, now)
         .unwrap();
     assert_eq!(alice.ephid_count(), 1);
 }
@@ -267,7 +282,9 @@ fn truncating_rewrite_of_reply_is_recovered_by_retry() {
         AdversaryAction::Rewrite(vec![0xEE; 7]),
         1,
     ));
-    net.agent_acquire(&mut alice, EphIdUsage::DATA_SHORT)
+    let now = net.now().as_protocol_time();
+    alice
+        .acquire(&mut net, EphIdUsage::DATA_SHORT, now)
         .unwrap();
     assert_eq!(alice.ephid_count(), 1);
     assert_eq!(
@@ -302,11 +319,13 @@ fn shutoff_world(seed: u64) -> (Network, HostAgent, HostAgent, usize, usize, Vec
         seed + 1000,
     )
     .unwrap();
-    let si = net
-        .agent_acquire(&mut sender, EphIdUsage::DATA_SHORT)
+    let now = net.now().as_protocol_time();
+    let si = sender
+        .acquire(&mut net, EphIdUsage::DATA_SHORT, now)
         .unwrap();
-    let vi = net
-        .agent_acquire(&mut victim, EphIdUsage::DATA_SHORT)
+    let now = net.now().as_protocol_time();
+    let vi = victim
+        .acquire(&mut net, EphIdUsage::DATA_SHORT, now)
         .unwrap();
     let dst = victim.owned_ephid(vi).addr(Aid(2));
     let wire = sender.build_raw_packet(si, dst, b"unwanted flood");
@@ -326,8 +345,10 @@ fn dropped_shutoff_ack_recovered_and_shutoff_sticks() {
             AdversaryAction::Drop,
             1,
         ));
-        let aa = HostAddr::new(Aid(1), net.node(Aid(1)).aa_endpoint.ephid);
-        let ack = net.agent_shutoff(&mut victim, aa, &evidence, vi).unwrap();
+        let now = net.now().as_protocol_time();
+        let ack = victim
+            .request_shutoff(&mut net, Aid(1), &evidence, vi, now)
+            .unwrap();
         assert_eq!(ack.ephid, sender.owned_ephid(si).ephid(), "seed {seed}");
         assert_eq!(
             net.stats.control_retries.count(ControlKind::ShutoffRequest),
@@ -366,14 +387,18 @@ fn delayed_and_replayed_shutoff_ack_converge() {
         },
         u32::MAX,
     ));
-    let aa = HostAddr::new(Aid(1), net.node(Aid(1)).aa_endpoint.ephid);
-    let ack = net.agent_shutoff(&mut victim, aa, &evidence, vi).unwrap();
+    let now = net.now().as_protocol_time();
+    let ack = victim
+        .request_shutoff(&mut net, Aid(1), &evidence, vi, now)
+        .unwrap();
     assert_eq!(ack.ephid, sender.owned_ephid(si).ephid());
     assert!(net.node(Aid(1)).infra.revoked.contains(&ack.ephid));
     // The extra ack copies sit in the inbox; the next RPC from the victim
     // purges them as stale rather than mistaking one for its reply.
     let before = victim.ephid_count();
-    net.agent_acquire(&mut victim, EphIdUsage::DATA_SHORT)
+    let now = net.now().as_protocol_time();
+    victim
+        .acquire(&mut net, EphIdUsage::DATA_SHORT, now)
         .unwrap();
     assert_eq!(victim.ephid_count(), before + 1);
     // Replays never double-counted the strike.
@@ -399,9 +424,9 @@ fn bit_flipped_shutoff_ack_is_typed_error_and_revocation_holds() {
         },
         u32::MAX,
     ));
-    let aa = HostAddr::new(Aid(1), net.node(Aid(1)).aa_endpoint.ephid);
-    let err = net
-        .agent_shutoff(&mut victim, aa, &evidence, vi)
+    let now = net.now().as_protocol_time();
+    let err = victim
+        .request_shutoff(&mut net, Aid(1), &evidence, vi, now)
         .unwrap_err();
     assert!(
         matches!(err, Error::Wire(_) | Error::ControlTimeout { .. }),
@@ -416,7 +441,10 @@ fn bit_flipped_shutoff_ack_is_typed_error_and_revocation_holds() {
         .contains(&sender.owned_ephid(si).ephid()));
     // Once the adversary is gone the victim's retry converges.
     net.clear_adversary();
-    let ack = net.agent_shutoff(&mut victim, aa, &evidence, vi).unwrap();
+    let now = net.now().as_protocol_time();
+    let ack = victim
+        .request_shutoff(&mut net, Aid(1), &evidence, vi, now)
+        .unwrap();
     assert_eq!(ack.ephid, sender.owned_ephid(si).ephid());
 }
 
@@ -463,10 +491,12 @@ fn control_plane_survives_chaotic_links() {
         .unwrap();
         // Issuance is intra-AS (clean here); the cross-AS chaos hits the
         // shut-off exchange.
-        let si = net
-            .agent_acquire(&mut alice, EphIdUsage::DATA_SHORT)
+        let now = net.now().as_protocol_time();
+        let si = alice
+            .acquire(&mut net, EphIdUsage::DATA_SHORT, now)
             .unwrap();
-        let bi = net.agent_acquire(&mut bob, EphIdUsage::DATA_SHORT).unwrap();
+        let now = net.now().as_protocol_time();
+        let bi = bob.acquire(&mut net, EphIdUsage::DATA_SHORT, now).unwrap();
         let dst = bob.owned_ephid(bi).addr(Aid(2));
         // Keep sending until one crosses the chaotic link.
         let evidence = loop {
@@ -480,8 +510,10 @@ fn control_plane_survives_chaotic_links() {
                 }
             }
         };
-        let aa = HostAddr::new(Aid(1), net.node(Aid(1)).aa_endpoint.ephid);
-        let ack = net.agent_shutoff(&mut bob, aa, &evidence, bi).unwrap();
+        let now = net.now().as_protocol_time();
+        let ack = bob
+            .request_shutoff(&mut net, Aid(1), &evidence, bi, now)
+            .unwrap();
         assert!(
             net.node(Aid(1)).infra.revoked.contains(&ack.ephid),
             "seed {seed}: shut-off eventually sticks despite chaos"

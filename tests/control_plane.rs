@@ -105,10 +105,10 @@ fn replayed_shutoff_reacks_idempotently_on_both_transports() {
         .unwrap();
     let evidence = sender.build_raw_packet(si, victim.owned_ephid(vi).addr(Aid(2)), b"spam");
     let first = victim
-        .request_shutoff(net.node(Aid(1)), &evidence, vi, now)
+        .request_shutoff(net.node(Aid(1)), Aid(1), &evidence, vi, now)
         .unwrap();
     let again = victim
-        .request_shutoff(net.node(Aid(1)), &evidence, vi, now)
+        .request_shutoff(net.node(Aid(1)), Aid(1), &evidence, vi, now)
         .unwrap();
     assert_eq!(first, again, "idempotent re-ack");
     assert!(!again.hid_revoked);
@@ -117,16 +117,19 @@ fn replayed_shutoff_reacks_idempotently_on_both_transports() {
     let mut net = two_as_net(ReplayMode::Disabled);
     let mut sender = agent(&net, Aid(1), 1);
     let mut victim = agent(&net, Aid(2), 2);
-    let si = net
-        .agent_acquire(&mut sender, EphIdUsage::DATA_SHORT)
+    let si = sender
+        .acquire(&mut net, EphIdUsage::DATA_SHORT, now)
         .unwrap();
-    let vi = net
-        .agent_acquire(&mut victim, EphIdUsage::DATA_SHORT)
+    let vi = victim
+        .acquire(&mut net, EphIdUsage::DATA_SHORT, now)
         .unwrap();
     let evidence = sender.build_raw_packet(si, victim.owned_ephid(vi).addr(Aid(2)), b"spam");
-    let aa = HostAddr::new(Aid(1), net.node(Aid(1)).aa_endpoint.ephid);
-    let first = net.agent_shutoff(&mut victim, aa, &evidence, vi).unwrap();
-    let again = net.agent_shutoff(&mut victim, aa, &evidence, vi).unwrap();
+    let first = victim
+        .request_shutoff(&mut net, Aid(1), &evidence, vi, now)
+        .unwrap();
+    let again = victim
+        .request_shutoff(&mut net, Aid(1), &evidence, vi, now)
+        .unwrap();
     assert_eq!(first, again);
     // The sender's HID survives: identical evidence is one incident.
     let sender_hid = apna_core::ephid::open(
@@ -192,7 +195,7 @@ fn direct_and_packetized_acquisition_agree() {
     let mut alice_b = agent(&net_b, Aid(1), 7);
     let mut idx_b = Vec::new();
     for flow in 0..4u64 {
-        idx_b.push(net_b.agent_ephid_for(&mut alice_b, flow, 0).unwrap());
+        idx_b.push(alice_b.ephid_for(&mut net_b, flow, 0, now).unwrap());
     }
 
     assert_eq!(idx_a, idx_b, "pool assignments agree");
@@ -243,13 +246,11 @@ fn direct_and_packetized_shutoff_agree() {
         let dst = victim.owned_ephid(vi).addr(Aid(2));
         let evidence = sender.build_raw_packet(si, dst, b"unwanted");
         let ack = if packetized {
-            let aa = HostAddr::new(Aid(1), net.node(Aid(1)).aa_endpoint.ephid);
-            net.agent_shutoff(&mut victim, aa, &evidence, vi).unwrap()
+            victim.request_shutoff(&mut net, Aid(1), &evidence, vi, now)
         } else {
-            victim
-                .request_shutoff(net.node(Aid(1)), &evidence, vi, now)
-                .unwrap()
+            victim.request_shutoff(net.node(Aid(1)), Aid(1), &evidence, vi, now)
         };
+        let ack = ack.unwrap();
         let follow_up = sender.build_raw_packet(si, dst, b"again");
         let verdict = net
             .node(Aid(1))
@@ -261,6 +262,55 @@ fn direct_and_packetized_shutoff_agree() {
     let (packet_ephid, packet_forwards) = run(true);
     assert_eq!(direct_ephid, packet_ephid);
     assert!(!direct_forwards && !packet_forwards);
+}
+
+/// DNS publication over both transports: the same register and update
+/// leave the same signed record in the zone.
+#[test]
+fn direct_and_packetized_dns_publication_agree() {
+    let run = |packetized: bool| {
+        let mut net = two_as_net(ReplayMode::Disabled);
+        let now = net.now().as_protocol_time();
+        let zone = DnsServer::new(SigningKey::from_seed(&[0xD5; 32]));
+        let mut alice = agent(&net, Aid(1), 3);
+        let first = alice
+            .acquire(net.node(Aid(1)), EphIdUsage::RECEIVE_ONLY, now)
+            .unwrap();
+        let second = alice
+            .acquire(net.node(Aid(1)), EphIdUsage::RECEIVE_ONLY, now)
+            .unwrap();
+        let name = "alice.example";
+        if packetized {
+            net.attach_dns(Aid(2), zone);
+            alice
+                .dns_register(&mut net, Aid(2), name, first, now)
+                .unwrap();
+            let registered = net.dns(Aid(2)).unwrap().resolve(name);
+            alice
+                .dns_update(&mut net, Aid(2), name, second, first, now)
+                .unwrap();
+            let d = &net.stats.control_delivered;
+            assert_eq!(d.count(ControlKind::DnsRegister), 1);
+            assert_eq!(d.count(ControlKind::DnsUpdate), 1);
+            (registered, net.dns(Aid(2)).unwrap().resolve(name))
+        } else {
+            alice.dns_register(&zone, Aid(2), name, first, now).unwrap();
+            let registered = zone.resolve(name);
+            alice
+                .dns_update(&zone, Aid(2), name, second, first, now)
+                .unwrap();
+            (registered, zone.resolve(name))
+        }
+    };
+    let (direct_registered, direct_updated) = run(false);
+    let (packet_registered, packet_updated) = run(true);
+    assert!(direct_registered.is_some() && direct_updated.is_some());
+    assert_eq!(direct_registered, packet_registered);
+    assert_eq!(direct_updated, packet_updated);
+    assert_ne!(
+        direct_registered, direct_updated,
+        "the update rotated the record"
+    );
 }
 
 // ---------------------------------------------------------------------
@@ -276,18 +326,18 @@ fn every_control_kind_is_counted_and_observable() {
     let mut bob = agent(&net, Aid(2), 2);
 
     // Issuance (intra-AS) and DNS publication + shut-off (inter-AS).
-    let ai = net
-        .agent_acquire(&mut alice, EphIdUsage::DATA_SHORT)
+    let t0 = Timestamp(0);
+    let ai = alice.acquire(&mut net, EphIdUsage::DATA_SHORT, t0).unwrap();
+    let ri = alice
+        .acquire(&mut net, EphIdUsage::RECEIVE_ONLY, t0)
         .unwrap();
-    let ri = net
-        .agent_acquire(&mut alice, EphIdUsage::RECEIVE_ONLY)
-        .unwrap();
-    let bi = net.agent_acquire(&mut bob, EphIdUsage::DATA_SHORT).unwrap();
-    net.agent_dns_register(&mut alice, Aid(2), "alice.example", ri, None)
+    let bi = bob.acquire(&mut net, EphIdUsage::DATA_SHORT, t0).unwrap();
+    alice
+        .dns_register(&mut net, Aid(2), "alice.example", ri, t0)
         .unwrap();
     let evidence = alice.build_raw_packet(ai, bob.owned_ephid(bi).addr(Aid(2)), b"x");
-    let aa = HostAddr::new(Aid(1), net.node(Aid(1)).aa_endpoint.ephid);
-    net.agent_shutoff(&mut bob, aa, &evidence, bi).unwrap();
+    bob.request_shutoff(&mut net, Aid(1), &evidence, bi, t0)
+        .unwrap();
 
     let d = &net.stats.control_delivered;
     assert_eq!(d.count(ControlKind::EphIdRequest), 3);
@@ -319,7 +369,7 @@ fn control_delivered_events_are_emitted() {
     let mut alice = agent(&net, Aid(1), 1);
     let (pending, msg) = alice.begin_acquire(EphIdUsage::DATA_SHORT);
     let dst = HostAddr::new(Aid(1), alice.ms_cert.ephid);
-    let wire = alice.build_control_packet(dst, &msg);
+    let wire = alice.build_ctrl_packet(dst, &msg.serialize());
     net.send(Aid(1), wire);
     let events = net.run();
     let control_events: Vec<_> = events
@@ -347,8 +397,8 @@ fn parked_data_packet_does_not_shadow_control_reply() {
     let mut net = two_as_net(ReplayMode::Disabled);
     let mut alice = agent(&net, Aid(1), 1);
     let mut mallory = agent(&net, Aid(2), 66);
-    let mi = net
-        .agent_acquire(&mut mallory, EphIdUsage::DATA_SHORT)
+    let mi = mallory
+        .acquire(&mut net, EphIdUsage::DATA_SHORT, Timestamp(0))
         .unwrap();
     // Mallory observed alice's control EphID on the wire and parks two
     // MAC-valid packets on it ahead of any control reply: raw junk, and —
@@ -363,7 +413,8 @@ fn parked_data_packet_does_not_shadow_control_reply() {
     net.run();
     // Alice's acquisition still succeeds: the reply matcher requires the
     // service's (unforgeable) source address, not just a parseable frame.
-    net.agent_acquire(&mut alice, EphIdUsage::DATA_SHORT)
+    alice
+        .acquire(&mut net, EphIdUsage::DATA_SHORT, Timestamp(0))
         .unwrap();
     assert_eq!(alice.ephid_count(), 1);
     // Both parked packets are still in the inbox for the host to judge.
@@ -386,7 +437,8 @@ fn control_plane_works_under_nonce_extension() {
     )
     .unwrap();
     for _ in 0..3 {
-        net.agent_acquire(&mut alice, EphIdUsage::DATA_SHORT)
+        alice
+            .acquire(&mut net, EphIdUsage::DATA_SHORT, now)
             .unwrap();
     }
     assert_eq!(alice.ephid_count(), 3);
@@ -412,7 +464,7 @@ fn revocation_announce_distributes_to_border_routers() {
         .unwrap();
     let evidence = sender.build_raw_packet(si, victim.owned_ephid(vi).addr(Aid(2)), b"x");
     let ack = victim
-        .request_shutoff(net.node(Aid(1)), &evidence, vi, now)
+        .request_shutoff(net.node(Aid(1)), Aid(1), &evidence, vi, now)
         .unwrap();
 
     // A second deployment of AS 1 (same seed → same infrastructure keys,

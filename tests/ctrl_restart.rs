@@ -328,7 +328,7 @@ fn border_node(log: &std::path::Path, mode: ReplayMode) -> (AsNode, ctrl_log::Re
 fn issue_through(core: &mut BorderCore, host: &mut HostAgent) -> Result<usize, apna_core::Error> {
     let ms = HostAddr::new(core.node.aid(), host.ms_cert.ephid);
     let (pending, msg) = host.begin_acquire(EphIdUsage::DATA_LONG);
-    let request = host.build_control_packet(ms, &msg);
+    let request = host.build_ctrl_packet(ms, &msg.serialize());
     let out = core.step(Timestamp(0), vec![request]);
     assert_eq!(out.len(), 1, "one reply frame per request");
     let (_, payload) = host.receive_packet(&out[0])?;
@@ -601,7 +601,7 @@ mod daemon {
 
         let ms = HostAddr::new(AID, h1.ms_cert.ephid);
         let (pending, msg) = h1.begin_acquire(EphIdUsage::DATA_LONG);
-        let wire = h1.build_control_packet(ms, &msg);
+        let wire = h1.build_ctrl_packet(ms, &msg.serialize());
         let reply = control_roundtrip(&sock, &tunnel, listen, &mut h1, wire);
         let idx = h1
             .complete_acquire(pending, &reply, Timestamp(0))
@@ -658,7 +658,7 @@ mod daemon {
         // pre-crash EphID: byte equality would mean IV reuse under the
         // same AS key (the watermark replay prevents exactly that).
         let (pending, msg) = h1.begin_acquire(EphIdUsage::DATA_LONG);
-        let wire = h1.build_control_packet(ms, &msg);
+        let wire = h1.build_ctrl_packet(ms, &msg.serialize());
         let reply = control_roundtrip(&sock, &tunnel, listen, &mut h1, wire);
         let idx2 = h1
             .complete_acquire(pending, &reply, Timestamp(0))

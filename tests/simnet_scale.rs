@@ -6,6 +6,7 @@
 //! `cargo test` stays fast; the release CI `simnet-scale` job runs them
 //! with `--ignored`.
 
+use apna_simnet::link::FaultProfile;
 use apna_simnet::{
     Arrivals, EventQueue, FlowSizes, ScaleConfig, ScaleScenario, SimTime, Simulator, TopologySpec,
 };
@@ -95,6 +96,34 @@ fn small_scale_run_is_deterministic_and_clean() {
     assert_eq!(a.flows_injected, 200);
     let b = run();
     assert_eq!(a.digest(), b.digest(), "rerun diverged");
+}
+
+/// The same fabric over lossy, duplicating inter-AS links, long enough
+/// for refresh waves: attach bursts, rotation bursts and strikes all run
+/// through the control transport, with its retries and per-slot fallback.
+/// Faults may cost deliveries, never an invariant no fault can excuse,
+/// and two runs still agree byte for byte.
+#[test]
+fn lossy_scale_run_keeps_invariants_and_reruns_identically() {
+    let run = || {
+        let cfg = ScaleConfig {
+            faults: FaultProfile::lossy(0.05, 0.0).with_duplication(0.05),
+            duration_secs: 1_020,
+            arrivals: None,
+            ..scale_cfg(4, 200)
+        };
+        ScaleScenario::build(cfg).unwrap().run()
+    };
+    let a = run();
+    assert!(a.packets_delivered < a.packets_sent, "no loss: {a:#?}");
+    assert!(a.duplicates > 0, "no duplication: {a:#?}");
+    assert!(a.refreshes > 0 && a.strikes_acked > 0, "{a:#?}");
+    assert_eq!(a.unaccountable, 0, "{a:#?}");
+    assert_eq!(a.linkability_violations, 0, "{a:#?}");
+    assert_eq!(a.shutoff_violations, 0, "{a:#?}");
+    assert_eq!(a.misrouted, 0, "{a:#?}");
+    let b = run();
+    assert_eq!(a.digest(), b.digest(), "lossy rerun diverged");
 }
 
 /// The 10k-host rerun the issue calls out: two full runs of the same
