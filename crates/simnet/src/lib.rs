@@ -16,12 +16,10 @@
 //! * [`event`] — the scheduled event engine: a deterministic
 //!   `(time, seq)`-ordered queue plus the [`event::Simulator`]/
 //!   [`event::Event`] execution loop everything above runs on.
-//! * [`scenario`] — the deterministic chaos engine: many-host long-running
-//!   flows on the simulation clock, clock-driven EphID rotation, and
-//!   continuous assertion of the paper's invariants.
-//! * [`scale`] — the large-scale scenario driver: lazy host
-//!   materialization, heavy-tailed workloads, and streaming invariant
-//!   tallies sized for 100k+ hosts and 1M+ flows.
+//! * [`scale`] — the scenario driver, for chaos runs and scale runs
+//!   alike: lazy host materialization, clock-driven EphID and receiver
+//!   rotation, shut-offs, heavy-tailed or long-lived workloads, and
+//!   streaming invariant tallies sized for 100k+ hosts and 1M+ flows.
 //! * [`workload`] — seeded heavy-tailed workload generators (Pareto flow
 //!   sizes, Poisson arrivals).
 //! * [`topology`] — an AS-level graph with precomputed all-pairs next-hop
@@ -50,7 +48,6 @@ pub mod linerate;
 pub mod link;
 pub mod network;
 pub mod scale;
-pub mod scenario;
 pub mod topology;
 pub mod workload;
 
@@ -63,6 +60,5 @@ pub use network::{
     RetryPolicy,
 };
 pub use scale::{ScaleConfig, ScaleReport, ScaleScenario};
-pub use scenario::{Scenario, ScenarioConfig, ScenarioReport};
 pub use topology::{Blueprint, Topology, TopologySpec};
 pub use workload::{Arrivals, FlowSizes, Workload};

@@ -1,10 +1,12 @@
-//! The large-scale scenario driver: 100k+ hosts, 1M+ flows, CI time.
+//! The scenario driver: chaos runs of a few hosts and the paper's
+//! metro-ISP scale (100k+ hosts, 1M+ flows) on one event-driven engine.
 //!
-//! [`crate::scenario::Scenario`] materializes every host up front and
-//! touches every flow every tick — fine for hundreds of hosts under
-//! chaos, hopeless for the paper's metro-ISP scale. [`ScaleScenario`]
-//! reaches that scale with three changes, none of which weakens what is
-//! being checked:
+//! [`ScaleScenario`] runs the host lifecycle — attach, EphID issuance,
+//! clock-driven rotation (§IV-B), shut-off (§IV-E) and, with
+//! [`ScaleConfig::receiver_rotation_ticks`], receiver publication and
+//! rotation through the AS's DNS zone (§VII-A) — and checks the paper's
+//! invariants as it goes. It reaches scale with three choices, none of
+//! which weakens what is being checked:
 //!
 //! * **Event-driven everything** — flow injections, per-flow packet
 //!   emissions, and per-host clock ticks are events on a
@@ -15,19 +17,24 @@
 //! * **Lazy host materialization** — a host agent (key generation,
 //!   registration, receive-EphID acquisition over the wire) is built the
 //!   first time a flow touches the host. With heavy-tailed workloads
-//!   most addressable hosts are never touched, which is precisely the
-//!   regime the tentpole targets.
+//!   most addressable hosts are never touched.
 //! * **Streaming invariant tallies** — accountability, shut-off
 //!   stickiness, and flow continuity are checked per delivery against
 //!   O(hosts-touched) state (an EphID→verdict cache, a revocation map
-//!   with revocation *times*, a 64-bit per-flow delivery bitmap) instead
-//!   of a full wiretap; unlinkability is checked at the end against the
-//!   network's streaming wire-EphID tally with a deterministic sample of
-//!   foreign-AS decrypt attempts per EphID.
+//!   with revocation *times*, a 64-bit per-flow delivery bitmap that
+//!   checks every packet) instead of a full wiretap; unlinkability is
+//!   checked at the end against the network's streaming wire-EphID tally
+//!   with a deterministic sample of foreign-AS decrypt attempts per
+//!   EphID (on chains of up to four ASes the sample is every foreign AS).
+//!
+//! A chaos run is a short `Chain` with `PerFlow` granularity, long flows
+//! (`Fixed(n)` packets one tick apart, all arriving at once), a fault
+//! profile, a shut-off and receiver rotation: `examples/chaos.rs` and
+//! `tests/chaos.rs` run it.
 //!
 //! Determinism: the same [`ScaleConfig`] yields a byte-identical
-//! [`ScaleReport::digest`] — the property the CI `simnet-scale` job
-//! diffs across two runs of the same binary.
+//! [`ScaleReport::digest`] — the property CI diffs across two runs of the
+//! same binary and across revisions.
 
 use crate::clock::SimTime;
 use crate::event::{Event, SimStats, Simulator};
@@ -41,6 +48,8 @@ use apna_core::control::ControlMsg;
 use apna_core::ephid;
 use apna_core::granularity::Granularity;
 use apna_core::Error;
+use apna_crypto::ed25519::SigningKey;
+use apna_dns::DnsServer;
 use apna_wire::{Aid, ApnaHeader, EphIdBytes, HostAddr, ReplayMode};
 use std::collections::{HashMap, HashSet};
 
@@ -74,7 +83,7 @@ pub struct ScaleConfig {
     pub tick_secs: u64,
     /// How far ahead of expiry agents rotate; should exceed `tick_secs`.
     pub refresh_margin_secs: u32,
-    /// Flow-size distribution (packets per flow, capped at
+    /// Flow-size distribution (packets per flow, at most
     /// [`MAX_FLOW_PKTS`]).
     pub sizes: FlowSizes,
     /// Flow arrival process. `None` spreads `flows` across
@@ -91,6 +100,13 @@ pub struct ScaleConfig {
     pub faults: FaultProfile,
     /// Shut-off strikes to file, evenly spaced across the run.
     pub shutoffs: u32,
+    /// Receiver-identity rotation cadence, in host ticks. `Some(k)`
+    /// publishes every host's receive identity in its own AS's DNS zone
+    /// and, on every k-th tick, has the host acquire a fresh receive
+    /// EphID and re-publish it with a `DnsUpdate` signed by the currently
+    /// published identity (§VII-A). Senders address the zone's current
+    /// answer, so long flows hop receiver identities mid-stream.
+    pub receiver_rotation_ticks: Option<u64>,
 }
 
 impl Default for ScaleConfig {
@@ -114,6 +130,7 @@ impl Default for ScaleConfig {
             replay_mode: ReplayMode::Disabled,
             faults: FaultProfile::lossless(),
             shutoffs: 1,
+            receiver_rotation_ticks: None,
         }
     }
 }
@@ -139,6 +156,7 @@ struct Tallies {
     packets_delivered: u64,
     duplicates: u64,
     refreshes: u64,
+    receiver_rotations: u64,
     strikes_acked: u32,
     unaccountable: u64,
     shutoff_violations: u64,
@@ -161,11 +179,14 @@ enum ScaleEvent {
         /// Dense flow index.
         flow: u32,
     },
-    /// A materialized host's clock tick: rotate expiring EphIDs over the
-    /// wire, then self-reschedule until the tick horizon.
+    /// A materialized host's clock tick: rotate expiring EphIDs (and, on
+    /// the configured cadence, the receive identity) over the wire, then
+    /// self-reschedule until the tick horizon.
     HostTick {
         /// Dense host index.
         host: u32,
+        /// Tick ordinal for this host, from 1.
+        n: u64,
     },
     /// File the `n`-th shut-off strike using the latest delivered
     /// evidence packet.
@@ -185,7 +206,7 @@ impl Event<ScaleWorld> for ScaleEvent {
         match *self {
             ScaleEvent::Inject => world.inject(sim),
             ScaleEvent::FlowPacket { flow } => world.flow_packet(flow, sim),
-            ScaleEvent::HostTick { host } => world.host_tick(host, sim),
+            ScaleEvent::HostTick { host, n } => world.host_tick(host, n, sim),
             ScaleEvent::Strike { n } => world.strike(n, at),
         }
     }
@@ -201,11 +222,14 @@ struct ScaleWorld {
     all_ases: Vec<Aid>,
     /// Lazily materialized agents, indexed by dense host index.
     agents: Vec<Option<HostAgent>>,
-    /// Receive address of each materialized host.
+    /// Current receive address of each materialized host.
     recv_addr: Vec<Option<HostAddr>>,
-    /// Owned-list index of each materialized host's receive EphID.
+    /// Owned-list index of each materialized host's current receive
+    /// EphID (the one that signs its next `DnsUpdate`).
     recv_idx: Vec<usize>,
-    /// Receive EphID → host index (destination check on delivery).
+    /// Receive EphID → host index (destination check on delivery). A
+    /// rotated-away identity stays: packets in flight to it are still
+    /// its host's.
     recv_owner: HashMap<EphIdBytes, u32>,
     workload: Workload,
     injected: u64,
@@ -236,7 +260,8 @@ impl ScaleWorld {
         self.flows.push(FlowRec {
             src: spec.src,
             dst: spec.dst,
-            pkts: spec.pkts.min(MAX_FLOW_PKTS) as u16,
+            // `build` bounds every flow size by MAX_FLOW_PKTS.
+            pkts: spec.pkts as u16,
             sent: 0,
             seen: 0,
         });
@@ -248,8 +273,9 @@ impl ScaleWorld {
     }
 
     /// Builds the agent for host `h` on first touch: key generation,
-    /// registration with its AS, and a long-lived receive-EphID
-    /// acquisition over the simulated wire.
+    /// registration with its AS, a long-lived receive-EphID acquisition
+    /// over the simulated wire and, under receiver rotation, publication
+    /// of that identity in the AS's zone.
     fn ensure_host(&mut self, h: u32, sim: &mut Simulator<ScaleWorld>) -> Result<(), Error> {
         if self.agents[h as usize].is_some() {
             return Ok(());
@@ -283,17 +309,27 @@ impl ScaleWorld {
         if prewarm {
             agent.prefill(0, 0, idxs[1]);
         }
+        if self.cfg.receiver_rotation_ticks.is_some() {
+            let now = self.net.now().as_protocol_time();
+            agent.dns_register(&mut self.net, aid, &dns_name(h, aid), ri, now)?;
+        }
         let addr = agent.owned_ephid(ri).addr(aid);
         self.recv_owner.insert(addr.ephid, h);
         self.recv_addr[h as usize] = Some(addr);
         self.recv_idx[h as usize] = ri;
         self.agents[h as usize] = Some(agent);
         self.tallies.materialized += 1;
+        self.schedule_tick(h, 1, sim);
+        Ok(())
+    }
+
+    /// Schedules host `h`'s `n`-th clock tick one cadence from now, if it
+    /// falls within the tick horizon.
+    fn schedule_tick(&self, h: u32, n: u64, sim: &mut Simulator<ScaleWorld>) {
         let tick_us = self.cfg.tick_secs.max(1) * 1_000_000;
         if sim.now().add_micros(tick_us) <= self.tick_horizon {
-            sim.schedule_in(tick_us, ScaleEvent::HostTick { host: h });
+            sim.schedule_in(tick_us, ScaleEvent::HostTick { host: h, n });
         }
-        Ok(())
     }
 
     fn flow_packet(&mut self, fi: u32, sim: &mut Simulator<ScaleWorld>) {
@@ -340,7 +376,7 @@ impl ScaleWorld {
         }
     }
 
-    fn host_tick(&mut self, h: u32, sim: &mut Simulator<ScaleWorld>) {
+    fn host_tick(&mut self, h: u32, n: u64, sim: &mut Simulator<ScaleWorld>) {
         if let Some(agent) = self.agents[h as usize].as_mut() {
             let now = self.net.now().as_protocol_time();
             match agent.refresh_expiring(&mut self.net, now) {
@@ -348,10 +384,40 @@ impl ScaleWorld {
                 Err(_) => self.tallies.issuance_failures += 1,
             }
         }
-        let tick_us = self.cfg.tick_secs.max(1) * 1_000_000;
-        if sim.now().add_micros(tick_us) <= self.tick_horizon {
-            sim.schedule_in(tick_us, ScaleEvent::HostTick { host: h });
+        if self.cfg.receiver_rotation_ticks.is_some_and(|k| n % k == 0)
+            && self.rotate_receiver(h).is_err()
+        {
+            self.tallies.issuance_failures += 1;
         }
+        self.schedule_tick(h, n + 1, sim);
+    }
+
+    /// §VII-A receiver rotation: a fresh receive EphID, published with a
+    /// `DnsUpdate` signed by the currently published identity (the zone's
+    /// continuity check), then read back from the zone, so the address
+    /// senders use next is the one the wire exchange installed.
+    fn rotate_receiver(&mut self, h: u32) -> Result<(), Error> {
+        let aid = self.host_as[h as usize];
+        let name = dns_name(h, aid);
+        let agent = self.agents[h as usize]
+            .as_mut()
+            .expect("ticking host materialized");
+        let now = self.net.now().as_protocol_time();
+        let new_idx = agent.acquire(&mut self.net, EphIdUsage::DATA_LONG, now)?;
+        let now = self.net.now().as_protocol_time();
+        let current = self.recv_idx[h as usize];
+        agent.dns_update(&mut self.net, aid, &name, new_idx, current, now)?;
+        let served = self
+            .net
+            .dns(aid)
+            .and_then(|z| z.resolve(&name))
+            .ok_or(Error::ControlRejected("rotated name vanished from zone"))?;
+        let addr = HostAddr::new(aid, served.cert.ephid);
+        self.recv_owner.insert(addr.ephid, h);
+        self.recv_addr[h as usize] = Some(addr);
+        self.recv_idx[h as usize] = new_idx;
+        self.tallies.receiver_rotations += 1;
+        Ok(())
     }
 
     /// §IV-E shut-off as the receiver files it: evidence is the latest
@@ -545,6 +611,7 @@ impl ScaleWorld {
             packets_delivered: self.tallies.packets_delivered,
             duplicates: self.tallies.duplicates,
             refreshes: self.tallies.refreshes,
+            receiver_rotations: self.tallies.receiver_rotations,
             strikes_acked: self.tallies.strikes_acked,
             control_noise: self.tallies.control_noise,
             unaccountable: self.tallies.unaccountable,
@@ -554,6 +621,9 @@ impl ScaleWorld {
             corrupt_discards: self.tallies.corrupt_discards,
             misrouted: self.tallies.misrouted,
             issuance_failures: self.tallies.issuance_failures,
+            control_retries: self.net.stats.control_retries.total(),
+            control_rpc_failures: self.net.stats.control_rpc_failures,
+            control_busy: self.net.stats.control_busy,
             expired_egress: self
                 .net
                 .stats
@@ -572,6 +642,11 @@ impl ScaleWorld {
     }
 }
 
+/// The DNS name host `h` publishes its receive identity under.
+fn dns_name(h: u32, aid: Aid) -> String {
+    format!("h{h}.as{}.apna", aid.0)
+}
+
 /// A built, ready-to-run scale scenario.
 pub struct ScaleScenario {
     sim: Simulator<ScaleWorld>,
@@ -581,9 +656,25 @@ pub struct ScaleScenario {
 impl ScaleScenario {
     /// Stands up the AS fabric (no hosts — they materialize lazily) and
     /// schedules the initial events.
+    ///
+    /// # Errors
+    /// [`Error::InvalidState`] if the fabric has fewer than two
+    /// addressable hosts, a flow can exceed [`MAX_FLOW_PKTS`] packets, or
+    /// the receiver-rotation cadence is zero.
     pub fn build(cfg: ScaleConfig) -> Result<ScaleScenario, Error> {
         let _ = cfg.faults.assert_valid();
+        if cfg.sizes.max_pkts() > MAX_FLOW_PKTS {
+            return Err(Error::InvalidState("flow sizes exceed MAX_FLOW_PKTS"));
+        }
+        if cfg.receiver_rotation_ticks == Some(0) {
+            return Err(Error::InvalidState("receiver rotation cadence is zero"));
+        }
         let bp = cfg.topology.build();
+        let hosts = bp.host_ases.len() as u64 * u64::from(cfg.hosts_per_as.max(1));
+        let hosts = u32::try_from(hosts).map_err(|_| Error::InvalidState("too many hosts"))?;
+        if hosts < 2 {
+            return Err(Error::InvalidState("fewer than two addressable hosts"));
+        }
 
         let mut net = Network::new(cfg.replay_mode);
         net.link_seed_salt = cfg.seed;
@@ -602,9 +693,19 @@ impl ScaleScenario {
         for &(a, b) in &bp.edges {
             net.connect(a, b, 1_000, 10_000_000_000, cfg.faults);
         }
+        if cfg.receiver_rotation_ticks.is_some() {
+            // One zone per AS: each host publishes (and rotates) its
+            // receive identity in its own AS's zone.
+            for &aid in &bp.ases {
+                let mut zone_seed = [0u8; 32];
+                zone_seed[..8]
+                    .copy_from_slice(&(cfg.seed ^ u64::from(aid.0).rotate_left(29)).to_le_bytes());
+                zone_seed[8] = 0xD5;
+                zone_seed[9] = aid.0 as u8;
+                net.attach_dns(aid, DnsServer::new(SigningKey::from_seed(&zone_seed)));
+            }
+        }
 
-        let hosts = bp.host_ases.len() as u64 * u64::from(cfg.hosts_per_as.max(1));
-        let hosts = u32::try_from(hosts).map_err(|_| Error::ControlRejected("too many hosts"))?;
         let host_as: Vec<Aid> = (0..hosts)
             .map(|h| bp.host_ases[(h / cfg.hosts_per_as.max(1)) as usize])
             .collect();
@@ -694,6 +795,8 @@ pub struct ScaleReport {
     pub duplicates: u64,
     /// EphIDs rotated by host clock ticks.
     pub refreshes: u64,
+    /// Receive identities rotated and re-published through the zone.
+    pub receiver_rotations: u64,
     /// Shut-off strikes acknowledged by the source AS.
     pub strikes_acked: u32,
     /// Stray control frames seen in host inboxes (duplicated replies).
@@ -717,6 +820,12 @@ pub struct ScaleReport {
     pub misrouted: u64,
     /// EphID issuances / rotations that failed (0 when lossless).
     pub issuance_failures: u64,
+    /// Control-RPC resends, summed over request kinds.
+    pub control_retries: u64,
+    /// Control RPCs that exhausted their retry budget or deadline.
+    pub control_rpc_failures: u64,
+    /// `EphIdBusy` pushbacks from issuance admission control.
+    pub control_busy: u64,
     /// Egress drops due to EphID expiry — rotation keeping up means 0.
     pub expired_egress: u64,
     /// Egress drops due to revocation (expected > 0 once a strike
@@ -840,5 +949,116 @@ mod tests {
         assert_eq!(report.strikes_acked, 1, "{report:#?}");
         assert!(report.revoked_egress > 0, "{report:#?}");
         assert_eq!(report.shutoff_violations, 0);
+    }
+
+    /// The chaos profile: 3 chained ASes × 4 hosts and 12 per-flow-EphID
+    /// flows, each sending a packet every 30 s tick for 120 s, receivers
+    /// rotating every other tick.
+    fn chaos_cfg() -> ScaleConfig {
+        ScaleConfig {
+            seed: 1,
+            topology: TopologySpec::Chain { ases: 3 },
+            hosts_per_as: 4,
+            flows: 12,
+            duration_secs: 120,
+            tick_secs: 30,
+            refresh_margin_secs: 90,
+            sizes: FlowSizes::Fixed(4),
+            arrivals: Some(Arrivals::Uniform { gap_us: 1 }),
+            packet_gap_us: 30_000_000,
+            granularity: Granularity::PerFlow,
+            shutoffs: 0,
+            receiver_rotation_ticks: Some(2),
+            ..ScaleConfig::default()
+        }
+    }
+
+    #[test]
+    fn default_scenario_is_clean_and_deterministic() {
+        let run = || ScaleScenario::build(chaos_cfg()).unwrap().run();
+        let a = run();
+        // 12 flows × 4 packets (120 s / 30 s).
+        assert_eq!(a.packets_sent, 12 * 4);
+        assert_eq!(
+            a.packets_delivered, a.packets_sent,
+            "lossless world delivers all"
+        );
+        assert_eq!(a.unaccountable, 0);
+        assert_eq!(a.linkability_violations, 0);
+        assert_eq!(a.incomplete_flows, 0);
+        assert_eq!(a.expired_egress, 0);
+        assert_eq!(a.issuance_failures, 0);
+        assert!(a.receiver_rotations > 0);
+        let b = run();
+        assert_eq!(a.digest(), b.digest());
+    }
+
+    #[test]
+    fn different_seeds_differ() {
+        let report = |seed: u64| {
+            let r = ScaleScenario::build(ScaleConfig {
+                seed,
+                faults: FaultProfile::lossy(0.05, 0.0),
+                ..chaos_cfg()
+            })
+            .unwrap()
+            .run();
+            assert_eq!(r.issuance_failures, 0, "seed {seed}");
+            r
+        };
+        // Different seeds see different fault streams (the reports diverge).
+        assert_ne!(report(1).digest(), report(2).digest());
+    }
+
+    #[test]
+    fn fewer_than_two_hosts_is_a_typed_error() {
+        let one_host = ScaleConfig {
+            topology: TopologySpec::Chain { ases: 1 },
+            hosts_per_as: 1,
+            ..small_cfg()
+        };
+        assert!(matches!(
+            ScaleScenario::build(one_host),
+            Err(Error::InvalidState(_))
+        ));
+    }
+
+    #[test]
+    fn flow_sizes_beyond_the_bitmap_are_a_typed_error() {
+        let too_long = [
+            FlowSizes::Fixed(MAX_FLOW_PKTS + 1),
+            FlowSizes::Pareto {
+                alpha: 1.2,
+                min_pkts: 1,
+                max_pkts: MAX_FLOW_PKTS + 1,
+            },
+        ];
+        for sizes in too_long {
+            let cfg = ScaleConfig {
+                sizes,
+                ..small_cfg()
+            };
+            assert!(
+                matches!(ScaleScenario::build(cfg), Err(Error::InvalidState(_))),
+                "{sizes:?}"
+            );
+        }
+        let cfg = ScaleConfig {
+            sizes: FlowSizes::Fixed(MAX_FLOW_PKTS),
+            ..small_cfg()
+        };
+        assert!(ScaleScenario::build(cfg).is_ok(), "the cap itself fits");
+    }
+
+    #[test]
+    fn zero_rotation_cadence_is_a_typed_error() {
+        let cfg = ScaleConfig {
+            receiver_rotation_ticks: Some(0),
+            ..chaos_cfg()
+        };
+        assert!(matches!(
+            ScaleScenario::build(cfg),
+            Err(Error::InvalidState(_))
+        ));
     }
 }

@@ -42,18 +42,27 @@ impl FlowSizes {
         match *self {
             FlowSizes::Fixed(n) => n.max(1),
             FlowSizes::Pareto {
-                alpha,
-                min_pkts,
-                max_pkts,
+                alpha, min_pkts, ..
             } => {
                 let min = f64::from(min_pkts.max(1));
                 // Inverse-transform sampling: X = xm / U^(1/alpha). The
                 // uniform draw is in [0, 1); nudge away from 0 to bound X.
                 let u: f64 = rng.gen::<f64>().max(1e-12);
                 let x = min / u.powf(1.0 / alpha.max(1e-6));
-                let capped = x.min(f64::from(max_pkts.max(min_pkts)));
+                let capped = x.min(f64::from(self.max_pkts()));
                 (capped as u32).max(1)
             }
+        }
+    }
+
+    /// The largest flow [`FlowSizes::sample`] can draw, in packets.
+    #[must_use]
+    pub fn max_pkts(&self) -> u32 {
+        match *self {
+            FlowSizes::Fixed(n) => n.max(1),
+            FlowSizes::Pareto {
+                min_pkts, max_pkts, ..
+            } => max_pkts.max(min_pkts).max(1),
         }
     }
 }

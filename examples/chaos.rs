@@ -7,34 +7,23 @@
 //!
 //! Part 1 sweeps the inter-AS link drop rate over {0%, 1%, 5%, 15%} and
 //! reports the control-RPC success/retry curve (the EXPERIMENTS.md
-//! fault-sweep table). Part 2 runs the scenario engine under a combined
-//! drop + duplicate + reorder + jitter profile and prints its invariant
-//! tallies plus a digest of the event log — run it twice with the same
+//! fault-sweep table). Part 2 runs the scenario driver on a three-AS
+//! chain under a combined drop + duplicate + reorder + jitter profile,
+//! with long per-flow flows, sender and receiver rotation and one
+//! shut-off, and prints its report digest — run it twice with the same
 //! seed and the output is byte-identical (the CI chaos job diffs exactly
-//! that).
+//! that, and diffs it against the base revision).
 
 use apna_core::agent::{EphIdUsage, HostAgent};
 use apna_core::granularity::Granularity;
 use apna_crypto::ed25519::SigningKey;
 use apna_dns::DnsServer;
 use apna_simnet::link::FaultProfile;
-use apna_simnet::scenario::{Scenario, ScenarioConfig};
-use apna_simnet::{Network, RetryPolicies, RetryPolicy};
+use apna_simnet::{
+    Arrivals, FlowSizes, Network, RetryPolicies, RetryPolicy, ScaleConfig, ScaleScenario,
+    TopologySpec,
+};
 use apna_wire::{Aid, ReplayMode};
-
-/// FNV-1a over the event log: a stable, dependency-free digest.
-fn digest(lines: &[String]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for line in lines {
-        for b in line.as_bytes() {
-            h ^= u64::from(*b);
-            h = h.wrapping_mul(0x1000_0000_01b3);
-        }
-        h ^= u64::from(b'\n');
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h
-}
 
 fn sweep_point(seed: u64, drop: f64, rpcs: u32) -> (u32, u64, u64) {
     let mut net = Network::new(ReplayMode::Disabled);
@@ -110,47 +99,42 @@ fn main() {
     println!(
         "-- adversarial scenario: 3 ASes x 4 hosts, 21 min (>1 rotation horizon), chaos profile --"
     );
-    let cfg = ScenarioConfig {
+    // As many flows as hosts (random peers, all arriving at once), each
+    // a packet every 30 s tick for the whole 1 260 s; the shut-off lands
+    // half way through.
+    let cfg = ScaleConfig {
         seed,
-        num_ases: 3,
+        topology: TopologySpec::Chain { ases: 3 },
         hosts_per_as: 4,
-        flows_per_host: 1,
+        flows: 12,
         duration_secs: 1_260,
         tick_secs: 30,
         refresh_margin_secs: 90,
+        sizes: FlowSizes::Fixed(42),
+        arrivals: Some(Arrivals::Uniform { gap_us: 1 }),
+        packet_gap_us: 30_000_000,
+        granularity: Granularity::PerFlow,
+        replay_mode: ReplayMode::NonceExtension,
         faults: FaultProfile::lossy(0.05, 0.01)
             .with_duplication(0.1)
             .with_reordering(0.1, 2_000)
             .with_jitter(300),
-        replay_mode: ReplayMode::NonceExtension,
-        retry_policy: RetryPolicies::uniform(RetryPolicy {
-            max_attempts: 8,
-            base_backoff_us: 100_000,
-            max_backoff_us: 1_600_000,
-            deadline_us: 60_000_000,
-        }),
-        shutoff_at_tick: Some(5),
+        shutoffs: 1,
         receiver_rotation_ticks: Some(2),
     };
-    let report = Scenario::build(cfg).unwrap().run().unwrap();
-    println!("data sent            {}", report.data_sent);
-    println!("data delivered       {}", report.data_delivered);
-    println!("ephid rotations      {}", report.refreshes);
-    println!("receiver rotations   {}", report.receiver_rotations);
-    println!("control retries      {}", report.rpc_retries);
-    println!("corrupt discards     {}", report.corrupt_discards);
-    println!("wire ephids          {}", report.wire_ephids);
-    println!("unaccountable        {}", report.unaccountable_deliveries);
-    println!("linkability breaks   {}", report.linkability_violations);
-    println!("shutoff violations   {}", report.shutoff_violations);
-    println!("interrupted flows    {}", report.interrupted_flows);
-    println!("expired at egress    {}", report.expired_egress);
-    println!("event log lines      {}", report.event_log.len());
-    println!("event log digest     {:016x}", digest(&report.event_log));
-    assert_eq!(report.unaccountable_deliveries, 0);
+    let report = ScaleScenario::build(cfg)
+        .expect("chaos config is valid")
+        .run();
+    print!("{}", report.digest());
+    assert_eq!(report.unaccountable, 0);
     assert_eq!(report.linkability_violations, 0);
     assert_eq!(report.shutoff_violations, 0);
     assert_eq!(report.expired_egress, 0);
+    assert!(report.refreshes > 0, "no sender EphID rotated");
+    assert!(
+        report.receiver_rotations > 0,
+        "no receiver identity rotated"
+    );
     println!();
     println!("invariants held: accountability, unlinkability, shutoff stickiness");
 }

@@ -1,8 +1,9 @@
 //! The adversarial scenario suite: active on-path attacks on the control
 //! plane (delayed / replayed / bit-flipped `EphIdReply` and `ShutoffAck`
 //! frames), loss-tolerant control RPC under chaos fault profiles, and
-//! clock-driven EphID rotation at scale — all deterministic, all asserting
-//! the paper's invariants:
+//! clock-driven sender and receiver rotation on the scenario driver
+//! ([`ScaleScenario`] with long per-flow flows on a chain) — all
+//! deterministic, all asserting the paper's invariants:
 //!
 //! * no unaccountable packet is ever delivered,
 //! * the wiretap can never link two EphIDs of one host,
@@ -19,8 +20,10 @@ use apna_core::granularity::Granularity;
 use apna_core::Error;
 use apna_simnet::adversary::{AdversaryAction, FrameKind, TargetedAdversary};
 use apna_simnet::link::FaultProfile;
-use apna_simnet::scenario::{Scenario, ScenarioConfig};
-use apna_simnet::{Network, PacketFate, RetryPolicies, RetryPolicy};
+use apna_simnet::{
+    Arrivals, FlowSizes, Network, PacketFate, RetryPolicies, RetryPolicy, ScaleConfig, ScaleReport,
+    ScaleScenario, SimTime, TopologySpec, Workload,
+};
 use apna_wire::{Aid, ReplayMode};
 
 const SEEDS: [u64; 5] = [1, 7, 42, 1337, 0xC0FFEE];
@@ -522,142 +525,172 @@ fn control_plane_survives_chaotic_links() {
 }
 
 // ---------------------------------------------------------------------
-// Rotation at scale: ≥100 hosts, ≥3 rotation horizons, lossy links.
+// The chaos profile on the scenario driver: a chain of ASes, per-flow
+// EphIDs, and as many long flows as hosts, packets one tick apart.
 // ---------------------------------------------------------------------
+
+/// `hosts_per_as` hosts on each of three chained ASes and as many flows
+/// as hosts (random peers, all arriving in the first microseconds), each
+/// flow one packet per `tick_secs` tick for `duration_secs`; receivers
+/// rotate every other tick; lossless, no shut-off.
+fn chaos_cfg(seed: u64, hosts_per_as: u32, duration_secs: u64, tick_secs: u64) -> ScaleConfig {
+    ScaleConfig {
+        seed,
+        topology: TopologySpec::Chain { ases: 3 },
+        hosts_per_as,
+        flows: 3 * u64::from(hosts_per_as),
+        duration_secs,
+        tick_secs,
+        refresh_margin_secs: 90,
+        sizes: FlowSizes::Fixed((duration_secs / tick_secs) as u32),
+        arrivals: Some(Arrivals::Uniform { gap_us: 1 }),
+        packet_gap_us: tick_secs * 1_000_000,
+        granularity: Granularity::PerFlow,
+        replay_mode: ReplayMode::Disabled,
+        faults: FaultProfile::lossless(),
+        shutoffs: 0,
+        receiver_rotation_ticks: Some(2),
+    }
+}
+
+fn run(cfg: ScaleConfig) -> ScaleReport {
+    ScaleScenario::build(cfg).unwrap().run()
+}
+
+// ---------------------------------------------------------------------
+// Rotation at scale: ≥100 hosts, ≥3 rotation horizons.
+// ---------------------------------------------------------------------
+
+/// 3 ASes × 34 hosts = 102 hosts and 102 flows; 2820 s ≥ 3 × 900 s EphID
+/// horizons, one packet a minute.
+fn rotation_at_scale_cfg() -> ScaleConfig {
+    ScaleConfig {
+        refresh_margin_secs: 120,
+        ..chaos_cfg(1, 34, 2_820, 60)
+    }
+}
 
 #[test]
 fn rotation_at_scale_under_loss() {
-    // 3 ASes × 34 hosts = 102 hosts; 2820 s ≥ 3 × 900 s EphID horizons;
-    // 1% drop on every inter-AS link. Flows must never be interrupted by
-    // rotation, and the invariants must hold to the last packet.
-    let cfg = ScenarioConfig {
-        seed: 1,
-        num_ases: 3,
-        hosts_per_as: 34,
-        flows_per_host: 1,
-        duration_secs: 2_820,
-        tick_secs: 60,
-        refresh_margin_secs: 120,
+    // 1% drop on every inter-AS link. Rotation must never cost a
+    // packet's EphID, and the invariants must hold to the last packet.
+    let report = run(ScaleConfig {
         faults: FaultProfile::lossy(0.01, 0.0),
-        replay_mode: ReplayMode::Disabled,
-        retry_policy: RetryPolicies::uniform(RetryPolicy {
-            max_attempts: 6,
-            base_backoff_us: 200_000,
-            max_backoff_us: 1_600_000,
-            deadline_us: 30_000_000,
-        }),
-        shutoff_at_tick: None,
-        receiver_rotation_ticks: Some(2),
-    };
-    let report = Scenario::build(cfg).unwrap().run().unwrap();
-    assert_eq!(report.unaccountable_deliveries, 0, "accountability");
+        ..rotation_at_scale_cfg()
+    });
+    assert_eq!(report.unaccountable, 0, "accountability");
     assert_eq!(report.linkability_violations, 0, "unlinkability");
-    assert_eq!(report.interrupted_flows, 0, "no flow interruptions");
     assert_eq!(report.shutoff_violations, 0);
+    assert_eq!(report.misrouted, 0);
     assert_eq!(report.expired_egress, 0, "rotation beat every expiry");
-    // Every host rotated its flow EphID at least twice (3 horizons).
+    assert_eq!(report.issuance_failures, 0, "{report:#?}");
+    // Every flow rotated its EphID at least twice (3 horizons).
     assert!(
         report.refreshes >= 2 * 102,
         "rotations happened at scale: {}",
         report.refreshes
     );
-    // 102 flows × 47 ticks, minus ~1% link loss — the vast majority lands.
-    assert!(report.data_sent >= 102 * 47);
+    // 102 flows × 47 packets (2820 s / 60 s), minus ~1% link loss — the
+    // vast majority lands.
+    assert_eq!(report.packets_sent, 102 * 47);
     assert!(
-        report.data_delivered as f64 >= report.data_sent as f64 * 0.95,
+        report.packets_delivered as f64 >= report.packets_sent as f64 * 0.95,
         "delivered {}/{}",
-        report.data_delivered,
-        report.data_sent
+        report.packets_delivered,
+        report.packets_sent
     );
-    // Rotation means the wiretap saw ≥ 3 distinct EphIDs per sender, all
+    // Rotation means the wiretap saw ≥ 3 distinct EphIDs per sender it
+    // can see — every flow whose peers sit in different ASes — all
     // unlinkable (asserted via linkability_violations above).
-    assert!(report.wire_ephids >= 3 * 102, "{}", report.wire_ephids);
+    let cross = cross_as_flows(&rotation_at_scale_cfg());
+    assert!(cross > 0);
+    assert!(
+        report.distinct_wire_ephids >= 3 * cross,
+        "{} wire EphIDs, {cross} cross-AS flows",
+        report.distinct_wire_ephids
+    );
+}
+
+/// Flows of `cfg` whose sender and receiver sit in different ASes: the
+/// ones whose EphIDs cross the inter-AS links the wire tally watches.
+/// Redrawn from the workload generator with the driver's seed and sizes.
+fn cross_as_flows(cfg: &ScaleConfig) -> u64 {
+    let hosts = 3 * cfg.hosts_per_as;
+    let arrivals = cfg.arrivals.expect("chaos configs fix their arrivals");
+    let mut w = Workload::new(cfg.seed, hosts, cfg.sizes, arrivals, SimTime::ZERO);
+    (0..cfg.flows)
+        .map(|_| w.next_flow())
+        .filter(|f| f.src / cfg.hosts_per_as != f.dst / cfg.hosts_per_as)
+        .count() as u64
+}
+
+#[test]
+fn rotation_at_scale_lossless_delivers_every_packet() {
+    // The same run without loss: every packet of every flow arrives,
+    // across three sender-EphID horizons and a receiver rotation every
+    // other minute — continuity checked packet by packet.
+    let report = run(rotation_at_scale_cfg());
+    assert!(report.invariants_hold(), "{report:#?}");
+    assert_eq!(report.incomplete_flows, 0, "no flow interruptions");
+    assert_eq!(report.packets_sent, 102 * 47);
+    assert_eq!(report.packets_delivered, report.packets_sent);
+    assert_eq!(report.issuance_failures, 0);
+    assert!(report.refreshes >= 2 * 102, "{}", report.refreshes);
+    assert!(report.receiver_rotations > 0);
 }
 
 #[test]
 fn scenario_shutoff_sticks_under_faults() {
     for seed in [2u64, 3, 4] {
-        let cfg = ScenarioConfig {
-            seed,
-            num_ases: 3,
-            hosts_per_as: 4,
-            flows_per_host: 1,
-            duration_secs: 600,
-            tick_secs: 30,
-            refresh_margin_secs: 90,
+        let report = run(ScaleConfig {
             faults: FaultProfile::lossy(0.05, 0.0).with_duplication(0.05),
-            replay_mode: ReplayMode::Disabled,
-            retry_policy: RetryPolicies::uniform(RetryPolicy {
-                max_attempts: 8,
-                base_backoff_us: 100_000,
-                max_backoff_us: 1_600_000,
-                deadline_us: 60_000_000,
-            }),
-            shutoff_at_tick: Some(3),
-            receiver_rotation_ticks: Some(2),
-        };
-        let report = Scenario::build(cfg).unwrap().run().unwrap();
-        assert!(report.shutoff_ephid.is_some(), "seed {seed}");
+            shutoffs: 1,
+            ..chaos_cfg(seed, 4, 600, 30)
+        });
+        assert_eq!(report.strikes_acked, 1, "seed {seed}: {report:#?}");
         assert_eq!(report.shutoff_violations, 0, "seed {seed}: shutoff sticks");
-        assert_eq!(report.unaccountable_deliveries, 0);
+        assert_eq!(report.unaccountable, 0);
         assert_eq!(report.linkability_violations, 0);
+        assert_eq!(report.issuance_failures, 0, "seed {seed}");
     }
 }
 
 // ---------------------------------------------------------------------
-// Determinism: same seed ⇒ byte-identical event log and NetStats.
+// Determinism: same seed ⇒ byte-identical report digest.
 // ---------------------------------------------------------------------
 
 #[test]
 fn chaos_scenario_is_deterministic_across_seeds() {
     for seed in SEEDS {
-        let cfg = ScenarioConfig {
-            seed,
-            num_ases: 3,
-            hosts_per_as: 3,
-            flows_per_host: 1,
-            duration_secs: 300,
-            tick_secs: 30,
-            refresh_margin_secs: 90,
+        let cfg = ScaleConfig {
             faults: FaultProfile::lossy(0.08, 0.02)
                 .with_duplication(0.1)
                 .with_reordering(0.1, 2_000)
                 .with_jitter(300),
             replay_mode: ReplayMode::NonceExtension,
-            retry_policy: RetryPolicies::uniform(RetryPolicy {
-                max_attempts: 8,
-                base_backoff_us: 100_000,
-                max_backoff_us: 1_600_000,
-                deadline_us: 60_000_000,
-            }),
-            shutoff_at_tick: None,
-            receiver_rotation_ticks: Some(2),
+            ..chaos_cfg(seed, 3, 300, 30)
         };
-        let a = Scenario::build(cfg.clone()).unwrap().run().unwrap();
-        let b = Scenario::build(cfg).unwrap().run().unwrap();
-        assert_eq!(a.event_log, b.event_log, "seed {seed}: event log differs");
-        assert_eq!(a.stats_debug, b.stats_debug, "seed {seed}: stats differ");
+        let a = run(cfg.clone());
+        let b = run(cfg);
+        assert_eq!(a.digest(), b.digest(), "seed {seed}: report differs");
         // And the invariants held under full chaos.
-        assert_eq!(a.unaccountable_deliveries, 0, "seed {seed}");
+        assert_eq!(a.unaccountable, 0, "seed {seed}");
         assert_eq!(a.linkability_violations, 0, "seed {seed}");
+        assert_eq!(a.issuance_failures, 0, "seed {seed}");
     }
 }
 
 #[test]
 fn different_seeds_change_the_weather() {
     let report = |seed: u64| {
-        Scenario::build(ScenarioConfig {
-            seed,
+        let r = run(ScaleConfig {
             faults: FaultProfile::lossy(0.10, 0.0),
-            duration_secs: 240,
-            tick_secs: 30,
-            ..ScenarioConfig::default()
-        })
-        .unwrap()
-        .run()
-        .unwrap()
+            ..chaos_cfg(seed, 4, 240, 30)
+        });
+        assert_eq!(r.issuance_failures, 0, "seed {seed}");
+        r
     };
-    assert_ne!(report(10).stats_debug, report(11).stats_debug);
+    assert_ne!(report(10).digest(), report(11).digest());
 }
 
 // ---------------------------------------------------------------------
@@ -668,42 +701,31 @@ fn different_seeds_change_the_weather() {
 fn receivers_rotate_identities_over_the_wire_under_chaos() {
     // Every host re-publishes its DNS name with a fresh receive EphID
     // every other tick, over lossy + duplicating links. Flows must follow
-    // the rotations (senders resolve the current address from the zone),
-    // the wiretap must see several receiver identities per host, and all
+    // the rotations (senders address the zone's current answer), and all
     // invariants must hold.
     for seed in [5u64, 6] {
-        let cfg = ScenarioConfig {
-            seed,
-            num_ases: 3,
-            hosts_per_as: 3,
-            flows_per_host: 1,
-            duration_secs: 300,
-            tick_secs: 30,
-            refresh_margin_secs: 90,
+        let report = run(ScaleConfig {
             faults: FaultProfile::lossy(0.05, 0.0).with_duplication(0.05),
-            replay_mode: ReplayMode::Disabled,
-            retry_policy: RetryPolicies::uniform(RetryPolicy {
-                max_attempts: 8,
-                base_backoff_us: 100_000,
-                max_backoff_us: 1_600_000,
-                deadline_us: 60_000_000,
-            }),
-            shutoff_at_tick: None,
-            receiver_rotation_ticks: Some(2),
-        };
-        let report = Scenario::build(cfg).unwrap().run().unwrap();
-        // 10 ticks, rotation at ticks 2,4,6,8 → 4 sweeps × 9 hosts.
-        assert_eq!(report.receiver_rotations, 4 * 9, "seed {seed}");
-        assert_eq!(report.unaccountable_deliveries, 0, "seed {seed}");
-        assert_eq!(report.linkability_violations, 0, "seed {seed}");
+            ..chaos_cfg(seed, 3, 300, 30)
+        });
+        // A host materializes in the run's first second and ticks every
+        // 30 s up to the 330 s tick horizon: ticks 1..=10, rotating at
+        // ticks 2, 4, 6, 8 and 10.
+        assert!(report.materialized_hosts > 0 && report.materialized_hosts <= 9);
         assert_eq!(
-            report.interrupted_flows, 0,
-            "seed {seed}: flows follow rotation"
+            report.receiver_rotations,
+            5 * report.materialized_hosts,
+            "seed {seed}"
         );
+        assert_eq!(report.unaccountable, 0, "seed {seed}");
+        assert_eq!(report.linkability_violations, 0, "seed {seed}");
+        assert_eq!(report.misrouted, 0, "seed {seed}: flows follow rotation");
         assert_eq!(report.shutoff_violations, 0, "seed {seed}");
-        assert_eq!(report.data_sent, 9 * 10, "seed {seed}");
+        assert_eq!(report.issuance_failures, 0, "seed {seed}");
+        // 9 flows × 10 packets (300 s / 30 s).
+        assert_eq!(report.packets_sent, 9 * 10, "seed {seed}");
         assert!(
-            report.data_delivered >= report.data_sent * 8 / 10,
+            report.packets_delivered >= report.packets_sent * 8 / 10,
             "seed {seed}: retry-less data plane loses at most the link rate"
         );
     }
@@ -711,34 +733,37 @@ fn receivers_rotate_identities_over_the_wire_under_chaos() {
 
 #[test]
 fn rotation_off_keeps_single_receiver_identity() {
-    let cfg = ScenarioConfig {
+    let report = run(ScaleConfig {
         receiver_rotation_ticks: None,
-        ..ScenarioConfig::default()
-    };
-    let report = Scenario::build(cfg).unwrap().run().unwrap();
+        ..chaos_cfg(1, 4, 120, 30)
+    });
     assert_eq!(report.receiver_rotations, 0);
-    assert_eq!(report.unaccountable_deliveries, 0);
-    assert_eq!(report.data_delivered, report.data_sent);
+    assert_eq!(report.unaccountable, 0);
+    assert_eq!(report.issuance_failures, 0);
+    assert_eq!(report.packets_delivered, report.packets_sent);
 }
 
 #[test]
 fn shutoff_with_stale_evidence_survives_receiver_rotation() {
-    // The shut-off fires right after a rotation sweep, so the evidence
-    // packet may be addressed to the receiver's *previous* identity. The
-    // victim must sign with the identity the attack actually targeted
-    // (§IV-E), not its newest one — and the revocation must stick.
-    let cfg = ScenarioConfig {
-        seed: 9,
-        duration_secs: 300,
-        tick_secs: 30,
-        refresh_margin_secs: 90,
-        shutoff_at_tick: Some(2),
-        receiver_rotation_ticks: Some(2),
-        ..ScenarioConfig::default()
-    };
-    let report = Scenario::build(cfg).unwrap().run().unwrap();
-    assert!(report.shutoff_ephid.is_some(), "shut-off went through");
+    // Packets leave every 45 s (0, 45, 90, 135, …) while receivers
+    // rotate at 60 s and 120 s, and the shut-off fires at 125 s (half of
+    // 250 s): the latest evidence, sent at 90 s, is addressed to the
+    // receiver's *previous* identity. The victim must sign with the
+    // identity the attack actually targeted (§IV-E), not its newest one
+    // — and the revocation must stick for the sends at 135 s and later.
+    let report = run(ScaleConfig {
+        shutoffs: 1,
+        packet_gap_us: 45_000_000,
+        sizes: FlowSizes::Fixed(6),
+        ..chaos_cfg(9, 4, 250, 30)
+    });
+    assert_eq!(
+        report.strikes_acked, 1,
+        "shut-off went through: {report:#?}"
+    );
+    assert!(report.revoked_egress > 0, "the revoked sender kept sending");
     assert_eq!(report.shutoff_violations, 0, "revocation sticks");
-    assert_eq!(report.unaccountable_deliveries, 0);
+    assert_eq!(report.unaccountable, 0);
+    assert_eq!(report.issuance_failures, 0);
     assert!(report.receiver_rotations > 0);
 }

@@ -118,6 +118,7 @@ fn lossy_scale_run_keeps_invariants_and_reruns_identically() {
     assert!(a.packets_delivered < a.packets_sent, "no loss: {a:#?}");
     assert!(a.duplicates > 0, "no duplication: {a:#?}");
     assert!(a.refreshes > 0 && a.strikes_acked > 0, "{a:#?}");
+    assert!(a.control_retries > 0, "the retry path never ran: {a:#?}");
     assert_eq!(a.unaccountable, 0, "{a:#?}");
     assert_eq!(a.linkability_violations, 0, "{a:#?}");
     assert_eq!(a.shutoff_violations, 0, "{a:#?}");
